@@ -249,6 +249,12 @@ bool cpu_has_sha_ni() {
 }  // namespace
 
 void Sha256::compress(const u8* p) {
+#if defined(SM_SHA256_NI)
+  if (cpu_has_sha_ni()) {
+    compress_blocks_ni(h_, p, 1);
+    return;
+  }
+#endif
   u32 w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<u32>(p[4 * i]) << 24) |

@@ -18,14 +18,15 @@ using Digest = std::array<arch::u8, 32>;
 // Incremental hasher: update() any number of times, then final() once.
 // Hashing N chunks produces the same digest as hashing their
 // concatenation, so callers can stream page-sized pieces instead of
-// assembling a contiguous buffer (the exit-digest path hashes hundreds
-// of KiB per process).
+// assembling a contiguous buffer (the exit-digest path hashes each page
+// in place, behind a 4-byte va that leaves every later block unaligned).
 class Sha256 {
  public:
   void update(std::span<const arch::u8> data);
   Digest final();
 
  private:
+  // One 64-byte block, through SHA-NI when the CPU has it.
   void compress(const arch::u8* p);
 
   arch::u32 h_[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,

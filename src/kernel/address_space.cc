@@ -1,6 +1,7 @@
 #include "kernel/address_space.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -153,6 +154,50 @@ void AddressSpace::initial_page_bytes(const Vma& vma, u32 page_vaddr,
   const std::size_t n =
       std::min<std::size_t>(out.size(), src.size() - static_cast<std::size_t>(rel));
   std::memcpy(out.data(), src.data() + rel, n);
+}
+
+image::Digest AddressSpace::data_digest() const {
+  // mprotect splits append VMA pieces out of order.
+  std::vector<const Vma*> ordered;
+  for (const Vma& v : vmas_) ordered.push_back(&v);
+  std::ranges::sort(ordered, {}, [](const Vma* v) { return v->start; });
+
+  // Pages are hashed in place through the const view: the mutable
+  // frame_bytes() counts as a write and would bump generations.
+  const PhysicalMemory& pm = *pm_;
+  const PageTable table(*pm_, root_);
+  static constexpr std::array<u8, kPageSize> kZeroPage{};
+  std::array<u8, kPageSize> initial{};
+  image::Sha256 hasher;
+  const auto hash32 = [&](u32 v) {
+    const u8 le[4] = {static_cast<u8>(v), static_cast<u8>(v >> 8),
+                      static_cast<u8>(v >> 16), static_cast<u8>(v >> 24)};
+    hasher.update(le);
+  };
+  // Page vas lie below their VMA's end, which is at or below the next
+  // VMA's start, so the stream decodes unambiguously.
+  for (const Vma* vma : ordered) {
+    hash32(vma->start);
+    hash32(vma->end);
+    for (u32 page = vma->start; page < vma->end; page += kPageSize) {
+      std::span<const u8> bytes;
+      if (const Pte pte = table.get(page); pte.present()) {
+        const SplitPair* pair = split_pair(vpn_of(page));
+        bytes = pm.frame_bytes(pair != nullptr ? pair->data_frame : pte.pfn());
+      } else if (vma->backing != nullptr) {
+        initial_page_bytes(*vma, page, initial);
+        bytes = initial;
+      } else {
+        continue;  // absent anonymous page: zero, never materialised
+      }
+      if (std::memcmp(bytes.data(), kZeroPage.data(), kPageSize) == 0) {
+        continue;
+      }
+      hash32(page);
+      hasher.update(bytes);
+    }
+  }
+  return hasher.final();
 }
 
 }  // namespace sm::kernel

@@ -17,6 +17,7 @@
 #include "arch/page_table.h"
 #include "arch/phys_mem.h"
 #include "arch/types.h"
+#include "image/sha256.h"
 
 namespace sm::snapshot {
 struct Access;
@@ -99,6 +100,13 @@ class AddressSpace {
   // Initial content for the page covering vaddr per its VMA backing.
   void initial_page_bytes(const Vma& vma, u32 page_vaddr,
                           std::span<u8> out) const;
+
+  // SHA-256 of what the process's loads can observe (DESIGN.md §10): per
+  // VMA in address order its start and end, then the va and bytes of
+  // every page whose data view is not all zero. Absent pages count as
+  // their initial bytes, so demand-paging order and eager loading cannot
+  // change the result, and the cost follows the memory actually touched.
+  image::Digest data_digest() const;
 
   // --- heap ---------------------------------------------------------------
   u32 brk_end = 0;  // current program break (heap VMA grows to here)

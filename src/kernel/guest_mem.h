@@ -6,8 +6,10 @@
 // DATA view (what the process reads/writes), the loader and the forensic
 // shellcode injector write the CODE view or BOTH.
 //
-// All writes land through PhysicalMemory's write paths, which bump the
-// target frame's generation counter — so a kernel write to a code frame
+// Copies are page-granular: each page of the range is translated once and
+// its piece moves as one PhysicalMemory span. All writes land through
+// PhysicalMemory's write paths, which bump the target frame's generation
+// counter (once per frame per call) — so a kernel write to a code frame
 // (loader relocation, forensic injection) automatically invalidates any
 // decoded-instruction-cache entries for that frame. No explicit flush
 // hook is needed here; see DESIGN.md §8.

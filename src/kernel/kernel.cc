@@ -420,7 +420,7 @@ void Kernel::kill_process(Process& p, ExitKind kind, const std::string& reason) 
   p.state = ProcState::kZombie;
   p.exit_kind = kind;
   p.exit_code = 0xFF;
-  if (cfg_.capture_exit_digest && p.as) p.exit_digest = final_memory_digest(p);
+  if (cfg_.capture_exit_digest && p.as) p.exit_digest = p.as->data_digest();
   p.as.reset();
   release_all_fds(p);
   wake_exit_waiters(p);
@@ -1185,38 +1185,6 @@ void Kernel::complete_pending_shootdowns() {
   pending_shootdowns_.clear();
 }
 
-image::Digest Kernel::final_memory_digest(Process& p) {
-  // The digest must be a pure function of guest-visible memory: iterate
-  // VMAs in address order (mprotect splits append pieces out of order),
-  // read mapped pages through the DATA view (what loads/stores see — the
-  // code frame of a split pair is an engine artifact), and synthesize
-  // unmapped pages from their backing so demand-paging order and
-  // eager_load cannot change the result.
-  std::vector<const Vma*> ordered;
-  for (const Vma& v : p.as->vmas()) ordered.push_back(&v);
-  std::ranges::sort(ordered, {}, [](const Vma* v) { return v->start; });
-
-  GuestMem gm = mem_of(p);
-  PageTable pt = p.as->pt();
-  image::Sha256 hasher;
-  std::array<u8, kPageSize> page_buf;
-  for (const Vma* vma : ordered) {
-    for (u32 page = vma->start; page < vma->end; page += kPageSize) {
-      if (pt.get(page).present()) {
-        if (!gm.read(page, page_buf, View::kData)) page_buf.fill(0);
-      } else {
-        p.as->initial_page_bytes(*vma, page, page_buf);
-      }
-      const u8 va_bytes[4] = {static_cast<u8>(page), static_cast<u8>(page >> 8),
-                              static_cast<u8>(page >> 16),
-                              static_cast<u8>(page >> 24)};
-      hasher.update(va_bytes);
-      hasher.update(page_buf);
-    }
-  }
-  return hasher.final();
-}
-
 // --------------------------------------------------------------------------
 // Syscalls
 // --------------------------------------------------------------------------
@@ -1259,7 +1227,7 @@ void Kernel::do_syscall(Process& p, bool retried) {
       p.state = ProcState::kZombie;
       p.exit_kind = ExitKind::kExited;
       p.exit_code = a1;
-      if (cfg_.capture_exit_digest) p.exit_digest = final_memory_digest(p);
+      if (cfg_.capture_exit_digest) p.exit_digest = p.as->data_digest();
       p.as.reset();
       release_all_fds(p);
       wake_exit_waiters(p);

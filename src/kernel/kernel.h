@@ -349,10 +349,6 @@ class Kernel {
   // `retried` marks the re-run of a blocked syscall so the trace records
   // each syscall once, at first issue.
   void do_syscall(Process& p, bool retried = false);
-  // SHA-256 over the data view of the whole address space (sorted VMAs;
-  // unmapped pages contribute their backing-defined initial bytes, so the
-  // digest is independent of demand-paging order and engine page-pairing).
-  image::Digest final_memory_digest(Process& p);
   u32 sys_read(Process& p, u32 fd, u32 buf, u32 len, bool& blocked);
   u32 sys_write(Process& p, u32 fd, u32 buf, u32 len, bool& blocked);
   u32 sys_open(Process& p, u32 path_ptr, u32 flags);

@@ -49,7 +49,9 @@ inline constexpr char kMagic[8] = {'S', 'M', 'S', 'N', 'A', 'P', '\x1a', 0};
 // v2: SMP — per-core machine groups (MMU/TLBs, regs, runqueue, scheduler
 // slice state), active core, pending shootdowns, per-core watchdog version
 // vectors, a core byte on trace events, and the cores/ipi-cost config keys.
-inline constexpr u32 kFormatVersion = 2;
+// v3: Process::exit_digest hashes VMA extents and non-zero pages only
+// (DESIGN.md §10); a v2 digest would compare unequal to a fresh one.
+inline constexpr u32 kFormatVersion = 3;
 
 // Field kinds on the wire.
 enum class FieldKind : u8 {

@@ -2,6 +2,9 @@
 // registry, teardown) and GuestMem (kernel-side views of split pages).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "kernel/address_space.h"
 #include "kernel/guest_mem.h"
 
@@ -208,6 +211,75 @@ TEST(GuestMemUnit, ReadCstrStopsAtNulAndBounds) {
   // Unterminated within max_len -> nullopt.
   bytes[2] = 'x';
   EXPECT_FALSE(gm.read_cstr(0x10000, 3).has_value());
+}
+
+// Copies move one page-bounded piece per page. Two virtually adjacent
+// pages sit on frames that are not physically adjacent, the second one
+// split, and a decoy fills the frame physically after the first: a copy
+// that ran on past the page boundary would read or write the decoy.
+TEST(GuestMemUnit, StraddlingCopiesFollowEachPagesOwnFrames) {
+  PhysicalMemory pm(64);
+  AddressSpace as(pm);
+  as.add_vma(make_vma(0x10000, 0x12000));
+  const u32 first = pm.alloc_frame();
+  const u32 decoy = pm.alloc_frame();
+  ASSERT_EQ(decoy, first + 1);
+  SplitPair pair{pm.alloc_frame(), pm.alloc_frame()};
+  as.pt().set(0x10000, Pte::make(first, Pte::kPresent | Pte::kUser));
+  as.pt().set(0x11000,
+              Pte::make(pair.code_frame, Pte::kPresent | Pte::kSplit));
+  as.register_split(0x11, pair);
+  std::ranges::fill(pm.frame_bytes(decoy), arch::u8{0xEE});
+  const arch::u8 tail[4] = {0xA0, 0xA1, 0xA2, 0xA3};
+  const arch::u8 data_head[4] = {0xD0, 0xD1, 0xD2, 0xD3};
+  const arch::u8 code_head[4] = {0xC0, 0xC1, 0xC2, 0xC3};
+  std::ranges::copy(tail, pm.frame_bytes(first).end() - 4);
+  std::ranges::copy(data_head, pm.frame_bytes(pair.data_frame).begin());
+  std::ranges::copy(code_head, pm.frame_bytes(pair.code_frame).begin());
+
+  GuestMem gm(as);
+  const std::vector<arch::u8> want_data = {0xA0, 0xA1, 0xA2, 0xA3,
+                                           0xD0, 0xD1, 0xD2, 0xD3};
+  const std::vector<arch::u8> want_code = {0xA0, 0xA1, 0xA2, 0xA3,
+                                           0xC0, 0xC1, 0xC2, 0xC3};
+  std::vector<arch::u8> out(8);
+  ASSERT_TRUE(gm.read(0x10FFC, out, View::kData));
+  EXPECT_EQ(out, want_data);
+  ASSERT_TRUE(gm.read(0x10FFC, out, View::kCode));
+  EXPECT_EQ(out, want_code);
+
+  // kBoth lands the second half in both frames of the pair; kData only in
+  // the data frame. Every touched frame's generation moves.
+  const u64 gen_first = pm.generation(first);
+  const u64 gen_code = pm.generation(pair.code_frame);
+  const u64 gen_data = pm.generation(pair.data_frame);
+  const std::vector<arch::u8> both(8, 0x77);
+  ASSERT_TRUE(gm.write(0x10FFC, both, View::kBoth));
+  EXPECT_GT(pm.generation(first), gen_first);
+  EXPECT_GT(pm.generation(pair.code_frame), gen_code);
+  EXPECT_GT(pm.generation(pair.data_frame), gen_data);
+  EXPECT_EQ(pm.frame_bytes(first)[kPageSize - 4], 0x77);
+  EXPECT_EQ(pm.frame_bytes(pair.code_frame)[3], 0x77);
+  EXPECT_EQ(pm.frame_bytes(pair.data_frame)[3], 0x77);
+  EXPECT_EQ(pm.frame_bytes(pair.data_frame)[4], 0x00);
+  const std::vector<arch::u8> data_only(8, 0x55);
+  ASSERT_TRUE(gm.write(0x10FFC, data_only, View::kData));
+  EXPECT_EQ(pm.frame_bytes(first)[kPageSize - 1], 0x55);
+  EXPECT_EQ(pm.frame_bytes(pair.code_frame)[0], 0x77);
+  EXPECT_EQ(pm.frame_bytes(pair.data_frame)[0], 0x55);
+  EXPECT_TRUE(std::ranges::all_of(pm.frame_bytes(decoy),
+                                  [](arch::u8 b) { return b == 0xEE; }));
+
+  // A string that starts in the first page ends in the data frame.
+  const arch::u8 ab[2] = {'a', 'b'};
+  const arch::u8 cd[3] = {'c', 'd', 0};
+  std::ranges::copy(ab, pm.frame_bytes(first).end() - 2);
+  std::ranges::copy(cd, pm.frame_bytes(pair.data_frame).begin());
+  const auto s = gm.read_cstr(0x10FFE);
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(*s, "abcd");
+  // Bounded inside the first page, it is unterminated.
+  EXPECT_FALSE(gm.read_cstr(0x10FFE, 2).has_value());
 }
 
 TEST(GuestMemUnit, Write32ReadsBackLittleEndian) {
