@@ -36,16 +36,6 @@
 #include "arch/decode_cache.h"
 #include "arch/types.h"
 
-// Two-layer gating, same pattern as SM_TRACE/SM_INVARIANT: -DSM_DBT=OFF
-// defines SM_DBT_ENABLED=0 and the kernel run loop's block dispatch
-// compiles out (this cache and Cpu::step_block always compile — tests and
-// benches drive them directly); at runtime KernelConfig::dbt and the
-// SM_DBT environment variable ("0" = off) gate the same-binary identity
-// diffs.
-#ifndef SM_DBT_ENABLED
-#define SM_DBT_ENABLED 1
-#endif
-
 namespace sm::arch {
 
 class BlockCache {

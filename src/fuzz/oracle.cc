@@ -39,51 +39,6 @@ const char* exit_kind_name(kernel::ExitKind k) {
   return "?";
 }
 
-// Every simulated counter, by name, plus whether it is one of the
-// host-side fast-path counters the billing clause exempts. Cycles are
-// listed first so a billing divergence reports the clock before the
-// downstream counters it desynchronized.
-struct CounterRef {
-  const char* name;
-  std::uint64_t metrics::Stats::*field;
-  bool host_side;
-};
-
-constexpr CounterRef kCounters[] = {
-    {"cycles", &metrics::Stats::cycles, false},
-    {"instructions", &metrics::Stats::instructions, false},
-    {"itlb_hits", &metrics::Stats::itlb_hits, false},
-    {"itlb_misses", &metrics::Stats::itlb_misses, false},
-    {"dtlb_hits", &metrics::Stats::dtlb_hits, false},
-    {"dtlb_misses", &metrics::Stats::dtlb_misses, false},
-    {"tlb_flushes", &metrics::Stats::tlb_flushes, false},
-    {"hardware_walks", &metrics::Stats::hardware_walks, false},
-    {"fetch_fastpath_hits", &metrics::Stats::fetch_fastpath_hits, true},
-    {"data_fastpath_hits", &metrics::Stats::data_fastpath_hits, true},
-    {"decode_cache_hits", &metrics::Stats::decode_cache_hits, true},
-    {"decode_cache_misses", &metrics::Stats::decode_cache_misses, true},
-    {"decode_cache_invalidations", &metrics::Stats::decode_cache_invalidations,
-     true},
-    {"block_cache_hits", &metrics::Stats::block_cache_hits, true},
-    {"block_cache_misses", &metrics::Stats::block_cache_misses, true},
-    {"block_cache_invalidations", &metrics::Stats::block_cache_invalidations,
-     true},
-    {"block_instructions", &metrics::Stats::block_instructions, true},
-    {"page_faults", &metrics::Stats::page_faults, false},
-    {"split_dtlb_loads", &metrics::Stats::split_dtlb_loads, false},
-    {"split_itlb_loads", &metrics::Stats::split_itlb_loads, false},
-    {"split_dtlb_fallbacks", &metrics::Stats::split_dtlb_fallbacks, false},
-    {"soft_tlb_fills", &metrics::Stats::soft_tlb_fills, false},
-    {"single_steps", &metrics::Stats::single_steps, false},
-    {"demand_pages", &metrics::Stats::demand_pages, false},
-    {"cow_copies", &metrics::Stats::cow_copies, false},
-    {"syscalls", &metrics::Stats::syscalls, false},
-    {"invalid_opcode_faults", &metrics::Stats::invalid_opcode_faults, false},
-    {"context_switches", &metrics::Stats::context_switches, false},
-    {"sched_wake_checks", &metrics::Stats::sched_wake_checks, true},
-    {"injections_detected", &metrics::Stats::injections_detected, false},
-};
-
 }  // namespace
 
 // Compares one non-reference run against the reference on the behavioural
@@ -143,15 +98,8 @@ std::string diff_behavior(const RunObservation& ref, const std::string& ref_l,
 // counters are exempt — they are the knob being toggled.
 std::string diff_billing(const RunObservation& ref, const std::string& ref_l,
                          const RunObservation& got, const std::string& got_l) {
-  for (const CounterRef& c : kCounters) {
-    if (c.host_side) continue;
-    const std::uint64_t a = ref.stats.*c.field;
-    const std::uint64_t b = got.stats.*c.field;
-    if (a != b)
-      return got_l + " vs " + ref_l + ": " + c.name + " " +
-             std::to_string(b) + " != " + std::to_string(a);
-  }
-  return "";
+  const std::string d = metrics::billing_difference(ref.stats, got.stats);
+  return d.empty() ? d : got_l + " vs " + ref_l + ": " + d;
 }
 
 std::vector<OracleConfig> behavioral_configs() {
@@ -210,11 +158,17 @@ std::unique_ptr<kernel::Kernel> make_case_kernel(const FuzzCase& c,
   k->set_engine(core::make_engine(cfg.mode, cfg.response));
   k->register_image(build(c));
   k->spawn("fuzz");
-  k->mmu().set_data_memo_enabled(cfg.data_memo);
-  k->cpu().set_decode_cache_enabled(cfg.decode_cache);
-  k->cpu().set_block_engine_enabled(cfg.dbt &&
-                                    k->cpu().block_engine_enabled());
-  if (cfg.inject_lru_bug) k->mmu().set_inject_memo_lru_bug(true);
+  // Every core's MMU and CPU, not just the active pair: at cores > 1 the
+  // processes run on all of them, so a fast path left on on any core
+  // would still run in a leg that switches it off.
+  for (u32 i = 0; i < k->num_cores(); ++i) {
+    arch::Mmu& mmu = k->core_mmu(i);
+    arch::Cpu& cpu = k->core_cpu(i);
+    mmu.set_data_memo_enabled(cfg.data_memo);
+    cpu.set_decode_cache_enabled(cfg.decode_cache);
+    cpu.set_block_engine_enabled(cfg.dbt && cpu.block_engine_enabled());
+    if (cfg.inject_lru_bug) mmu.set_inject_memo_lru_bug(true);
+  }
   return k;
 }
 

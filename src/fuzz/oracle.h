@@ -19,9 +19,8 @@
 //   layer (pure observation) must leave every simulated stat identical,
 //   including cycles: the fast paths are host-side optimizations and bill
 //   exactly what the slow path they short-circuit would have, and a
-//   TraceSink never charges or perturbs state. Only the host-side counters
-//   themselves (fetch/data_fastpath_hits, decode_cache_*, block_*) may
-//   differ.
+//   TraceSink never charges or perturbs state. Only the counters that
+//   metrics::kCounters marks host_side may differ.
 //
 // check_case() returns the first violated clause as a human-readable
 // divergence string — which doubles as the shrinker's predicate.
@@ -110,7 +109,8 @@ RunObservation run_case(const FuzzCase& c, const OracleConfig& cfg,
 //
 // make_case_kernel: a kernel with the case's image registered, the
 // engine installed, pid 1 spawned and the cfg's fast-path toggles
-// applied — ready for run(). (Kernel is not movable; heap-allocated.)
+// applied to every core — ready for run(). (Kernel is not movable;
+// heap-allocated.)
 std::unique_ptr<kernel::Kernel> make_case_kernel(const FuzzCase& c,
                                                  const OracleConfig& cfg);
 // observe: extracts the full observation from a kernel that finished
@@ -118,8 +118,9 @@ std::unique_ptr<kernel::Kernel> make_case_kernel(const FuzzCase& c,
 RunObservation observe(kernel::Kernel& k, kernel::Kernel::RunResult result);
 // The two equivalence comparators (empty string == equal). diff_behavior
 // checks the engine-invisible clause (exit/console/syscalls/digest,
-// cycles exempt); diff_billing checks every simulated counter including
-// cycles, exempting only the host-side fast-path counters.
+// cycles exempt); diff_billing is metrics::billing_difference: every
+// counter of metrics::kCounters, cycles included, except the host_side
+// rows.
 std::string diff_behavior(const RunObservation& ref, const std::string& ref_l,
                           const RunObservation& got, const std::string& got_l);
 std::string diff_billing(const RunObservation& ref, const std::string& ref_l,

@@ -91,8 +91,7 @@ Kernel::Kernel(KernelConfig cfg)
   }
   for (const auto& c : cores_) {
     c->mmu.set_software_tlb(cfg_.software_tlb);
-    c->cpu.set_block_engine_enabled(SM_DBT_ENABLED && cfg_.dbt &&
-                                    dbt_env_enabled());
+    c->cpu.set_block_engine_enabled(cfg_.dbt && dbt_env_enabled());
     if (trace_ptr_ != nullptr) {
       c->mmu.set_trace(trace_ptr_);
       c->cpu.set_trace(trace_ptr_);
@@ -774,8 +773,7 @@ Kernel::RunResult Kernel::run(u64 max_instructions, u64 cycle_stop) {
       // fault injector or invariant watchdog wants its pre/post hooks
       // between every step — those take the step() path, whose semantics
       // and billing the block engine reproduces exactly.
-      const bool use_blocks = SM_DBT_ENABLED &&
-                              core.cpu.block_engine_enabled() && !tf_before &&
+      const bool use_blocks = core.cpu.block_engine_enabled() && !tf_before &&
                               fault_source_ == nullptr &&
                               step_observer_ == nullptr;
       std::optional<Trap> trap;

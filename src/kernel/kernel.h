@@ -87,8 +87,7 @@ struct KernelConfig {
   // only: simulated stats, figures, and trace attribution are bit-
   // identical with this on or off — only host wall-clock and the
   // block_cache_* counters change. Also gated by the SM_DBT environment
-  // variable ("0" disables, for same-binary identity diffs) and compiled
-  // out of the run loop entirely under -DSM_DBT=OFF.
+  // variable ("0" disables, for same-binary identity diffs).
   bool dbt = true;
 
   // Simulated cores (DESIGN.md §16). Each core owns a private split

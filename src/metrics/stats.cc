@@ -4,41 +4,20 @@
 
 namespace sm::metrics {
 
+std::string billing_difference(const Stats& want, const Stats& got) {
+  for (const Counter& c : kCounters) {
+    if (c.host_side || got.*c.field == want.*c.field) continue;
+    return std::string(c.name) + " " + std::to_string(got.*c.field) +
+           " != " + std::to_string(want.*c.field);
+  }
+  return "";
+}
+
 std::ostream& operator<<(std::ostream& os, const Stats& s) {
-  os << "cycles=" << s.cycles << " instructions=" << s.instructions
-     << " itlb(h/m)=" << s.itlb_hits << "/" << s.itlb_misses
-     << " dtlb(h/m)=" << s.dtlb_hits << "/" << s.dtlb_misses
-     << " walks=" << s.hardware_walks << " page_faults=" << s.page_faults
-     << " split_loads(d/i)=" << s.split_dtlb_loads << "/"
-     << s.split_itlb_loads << " single_steps=" << s.single_steps
-     << " demand=" << s.demand_pages << " cow=" << s.cow_copies
-     << " syscalls=" << s.syscalls << " ctxsw=" << s.context_switches
-     << " detections=" << s.injections_detected
-     << " decode$(h/m/inv)=" << s.decode_cache_hits << "/"
-     << s.decode_cache_misses << "/" << s.decode_cache_invalidations
-     << " block$(h/m/inv)=" << s.block_cache_hits << "/"
-     << s.block_cache_misses << "/" << s.block_cache_invalidations
-     << " block_instr=" << s.block_instructions
-     << " fetch_fast=" << s.fetch_fastpath_hits
-     << " data_fast=" << s.data_fastpath_hits
-     << " wake_checks=" << s.sched_wake_checks;
-  if (s.faults_injected || s.invariant_violations || s.invariant_recoveries ||
-      s.invariant_degradations || s.split_oom_degradations) {
-    os << " faults=" << s.faults_injected
-       << " inv(viol/rec/deg)=" << s.invariant_violations << "/"
-       << s.invariant_recoveries << "/" << s.invariant_degradations
-       << " oom_deg=" << s.split_oom_degradations;
-  }
-  if (s.timer_fires || s.wait_timeouts || s.sleeps || s.idle_advances ||
-      s.sock_connects || s.sock_refused || s.sock_accepts) {
-    os << " timers(fire/timeout/sleep/idle)=" << s.timer_fires << "/"
-       << s.wait_timeouts << "/" << s.sleeps << "/" << s.idle_advances
-       << " sock(conn/ref/acc)=" << s.sock_connects << "/" << s.sock_refused
-       << "/" << s.sock_accepts << " backlog_peak=" << s.sock_backlog_peak;
-  }
-  if (s.ipi_sends || s.ipi_acks || s.tlb_shootdowns || s.work_steals) {
-    os << " ipi(send/ack)=" << s.ipi_sends << "/" << s.ipi_acks
-       << " shootdowns=" << s.tlb_shootdowns << " steals=" << s.work_steals;
+  const char* sep = "";
+  for (const Counter& c : kCounters) {
+    os << sep << c.name << '=' << s.*c.field;
+    sep = " ";
   }
   return os;
 }

@@ -2,11 +2,14 @@
 //
 // Every architectural and kernel event of interest is counted here so tests
 // can pin behaviour ("exactly two traps per split I-TLB load") and benches
-// can report where time went.
+// can report where time went. kCounters below is the one list of them.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <iterator>
+#include <string>
+#include <string_view>
 
 namespace sm::metrics {
 
@@ -92,6 +95,98 @@ struct Stats {
   void reset() { *this = Stats{}; }
 };
 
+// One row per Stats member, in declaration order: the only list of the
+// counters. The stream printer, the snapshot record, the fuzz oracle's
+// billing clause, the replay battery's exemptions and the billing-identity
+// tests all walk this table, so a counter added here reaches every one of
+// them, and a member added without a row fails the static_assert below.
+//
+// host_side marks the counters of the simulator's own fast paths
+// (translation memos, decode and block caches) and its wake-queue scans.
+// They bill no cycles, so they legitimately differ when a fast path is
+// toggled or a restore drops the host caches cold; the billing and replay
+// contracts exempt them. Every other row is simulated state. cycles comes
+// first, so a billing divergence names the clock before the counters it
+// desynchronized.
+struct Counter {
+  const char* name;
+  std::uint64_t Stats::*field;
+  bool host_side;
+};
+
+inline constexpr Counter kCounters[] = {
+    {"cycles", &Stats::cycles, false},
+    {"instructions", &Stats::instructions, false},
+    {"itlb_hits", &Stats::itlb_hits, false},
+    {"itlb_misses", &Stats::itlb_misses, false},
+    {"dtlb_hits", &Stats::dtlb_hits, false},
+    {"dtlb_misses", &Stats::dtlb_misses, false},
+    {"tlb_flushes", &Stats::tlb_flushes, false},
+    {"hardware_walks", &Stats::hardware_walks, false},
+    {"fetch_fastpath_hits", &Stats::fetch_fastpath_hits, true},
+    {"data_fastpath_hits", &Stats::data_fastpath_hits, true},
+    {"decode_cache_hits", &Stats::decode_cache_hits, true},
+    {"decode_cache_misses", &Stats::decode_cache_misses, true},
+    {"decode_cache_invalidations", &Stats::decode_cache_invalidations, true},
+    {"block_cache_hits", &Stats::block_cache_hits, true},
+    {"block_cache_misses", &Stats::block_cache_misses, true},
+    {"block_cache_invalidations", &Stats::block_cache_invalidations, true},
+    {"block_instructions", &Stats::block_instructions, true},
+    {"page_faults", &Stats::page_faults, false},
+    {"split_dtlb_loads", &Stats::split_dtlb_loads, false},
+    {"split_itlb_loads", &Stats::split_itlb_loads, false},
+    {"split_dtlb_fallbacks", &Stats::split_dtlb_fallbacks, false},
+    {"soft_tlb_fills", &Stats::soft_tlb_fills, false},
+    {"single_steps", &Stats::single_steps, false},
+    {"demand_pages", &Stats::demand_pages, false},
+    {"cow_copies", &Stats::cow_copies, false},
+    {"syscalls", &Stats::syscalls, false},
+    {"invalid_opcode_faults", &Stats::invalid_opcode_faults, false},
+    {"context_switches", &Stats::context_switches, false},
+    {"sched_wake_checks", &Stats::sched_wake_checks, true},
+    {"injections_detected", &Stats::injections_detected, false},
+    {"faults_injected", &Stats::faults_injected, false},
+    {"invariant_violations", &Stats::invariant_violations, false},
+    {"invariant_recoveries", &Stats::invariant_recoveries, false},
+    {"invariant_degradations", &Stats::invariant_degradations, false},
+    {"split_oom_degradations", &Stats::split_oom_degradations, false},
+    {"timer_fires", &Stats::timer_fires, false},
+    {"wait_timeouts", &Stats::wait_timeouts, false},
+    {"sleeps", &Stats::sleeps, false},
+    {"idle_advances", &Stats::idle_advances, false},
+    {"sock_connects", &Stats::sock_connects, false},
+    {"sock_refused", &Stats::sock_refused, false},
+    {"sock_accepts", &Stats::sock_accepts, false},
+    {"sock_backlog_peak", &Stats::sock_backlog_peak, false},
+    {"ipi_sends", &Stats::ipi_sends, false},
+    {"ipi_acks", &Stats::ipi_acks, false},
+    {"tlb_shootdowns", &Stats::tlb_shootdowns, false},
+    {"work_steals", &Stats::work_steals, false},
+};
+
+static_assert(std::size(kCounters) * sizeof(std::uint64_t) == sizeof(Stats),
+              "every Stats member needs a row in kCounters");
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < std::size(kCounters); ++i) {
+        for (std::size_t j = i + 1; j < std::size(kCounters); ++j) {
+          if (kCounters[i].field == kCounters[j].field ||
+              std::string_view(kCounters[i].name) == kCounters[j].name) {
+            return false;
+          }
+        }
+      }
+      return true;
+    }(),
+    "kCounters lists a member or a name twice");
+
+// The first simulated (not host_side) counter on which `got` differs from
+// `want`, as "<name> <got> != <want>"; empty when every simulated counter
+// matches. This is the billing-identity check: a host-side fast path or
+// an observation layer must leave it empty.
+std::string billing_difference(const Stats& want, const Stats& got);
+
+// Every counter as "name=value", space-separated, in table order.
 std::ostream& operator<<(std::ostream& os, const Stats& s);
 
 }  // namespace sm::metrics

@@ -51,7 +51,9 @@ inline constexpr char kMagic[8] = {'S', 'M', 'S', 'N', 'A', 'P', '\x1a', 0};
 // vectors, a core byte on trace events, and the cores/ipi-cost config keys.
 // v3: Process::exit_digest hashes VMA extents and non-zero pages only
 // (DESIGN.md §10); a v2 digest would compare unequal to a fresh one.
-inline constexpr u32 kFormatVersion = 3;
+// v4: the stats record is metrics::kCounters, which adds the four SMP
+// counters (ipi_sends, ipi_acks, tlb_shootdowns, work_steals).
+inline constexpr u32 kFormatVersion = 4;
 
 // Field kinds on the wire.
 enum class FieldKind : u8 {

@@ -376,49 +376,9 @@ void Access::mmu(Ar& ar, arch::Mmu& m) {
 template <class Ar>
 void Access::stats(Ar& ar, metrics::Stats& s) {
   ar.begin("stats");
-  ar.value("cycles", s.cycles);
-  ar.value("instructions", s.instructions);
-  ar.value("itlb_hits", s.itlb_hits);
-  ar.value("itlb_misses", s.itlb_misses);
-  ar.value("dtlb_hits", s.dtlb_hits);
-  ar.value("dtlb_misses", s.dtlb_misses);
-  ar.value("tlb_flushes", s.tlb_flushes);
-  ar.value("hardware_walks", s.hardware_walks);
-  ar.value("fetch_fastpath_hits", s.fetch_fastpath_hits);
-  ar.value("data_fastpath_hits", s.data_fastpath_hits);
-  ar.value("decode_cache_hits", s.decode_cache_hits);
-  ar.value("decode_cache_misses", s.decode_cache_misses);
-  ar.value("decode_cache_invalidations", s.decode_cache_invalidations);
-  ar.value("block_cache_hits", s.block_cache_hits);
-  ar.value("block_cache_misses", s.block_cache_misses);
-  ar.value("block_cache_invalidations", s.block_cache_invalidations);
-  ar.value("block_instructions", s.block_instructions);
-  ar.value("page_faults", s.page_faults);
-  ar.value("split_dtlb_loads", s.split_dtlb_loads);
-  ar.value("split_itlb_loads", s.split_itlb_loads);
-  ar.value("split_dtlb_fallbacks", s.split_dtlb_fallbacks);
-  ar.value("soft_tlb_fills", s.soft_tlb_fills);
-  ar.value("single_steps", s.single_steps);
-  ar.value("demand_pages", s.demand_pages);
-  ar.value("cow_copies", s.cow_copies);
-  ar.value("syscalls", s.syscalls);
-  ar.value("invalid_opcode_faults", s.invalid_opcode_faults);
-  ar.value("context_switches", s.context_switches);
-  ar.value("sched_wake_checks", s.sched_wake_checks);
-  ar.value("injections_detected", s.injections_detected);
-  ar.value("faults_injected", s.faults_injected);
-  ar.value("invariant_violations", s.invariant_violations);
-  ar.value("invariant_recoveries", s.invariant_recoveries);
-  ar.value("invariant_degradations", s.invariant_degradations);
-  ar.value("split_oom_degradations", s.split_oom_degradations);
-  ar.value("timer_fires", s.timer_fires);
-  ar.value("wait_timeouts", s.wait_timeouts);
-  ar.value("sleeps", s.sleeps);
-  ar.value("idle_advances", s.idle_advances);
-  ar.value("sock_connects", s.sock_connects);
-  ar.value("sock_refused", s.sock_refused);
-  ar.value("sock_accepts", s.sock_accepts);
-  ar.value("sock_backlog_peak", s.sock_backlog_peak);
+  for (const metrics::Counter& c : metrics::kCounters) {
+    ar.value(c.name, s.*c.field);
+  }
   ar.end();
 }
 

@@ -10,7 +10,6 @@
 
 #include <initializer_list>
 #include <stdexcept>
-#include <tuple>
 
 #include "arch/cpu.h"
 
@@ -61,15 +60,6 @@ struct Rig {
     o = emit(1, o, {0x10, 1, 1});           // add r1, r1
     o = emit(1, o, {0x1A, 0, 1});           // cmp r0, r1
     emit(1, o, {0x20, 0x00, 0x10, 0, 0});   // jmp 0x1000
-  }
-
-  auto sim_stats() {
-    // The simulated subset only: host-side fast-path counters are allowed
-    // (expected) to differ between the engines.
-    return std::tuple{stats.cycles,      stats.instructions,
-                      stats.itlb_hits,   stats.itlb_misses,
-                      stats.dtlb_hits,   stats.dtlb_misses,
-                      stats.hardware_walks, stats.page_faults};
   }
 };
 
@@ -177,7 +167,7 @@ TEST_F(BlockCacheTest, BillsExactlyWhatTheInterpreterWould) {
   u64 attempts = 0;
   while (attempts < 40) attempts += r_.cpu.step_block(40 - attempts).attempts;
 
-  EXPECT_EQ(r_.sim_stats(), interp.sim_stats());
+  EXPECT_EQ(metrics::billing_difference(interp.stats, r_.stats), "");
   EXPECT_GT(r_.stats.block_instructions, 0u);
   EXPECT_EQ(interp.stats.block_instructions, 0u);
   EXPECT_EQ(r_.cpu.regs().pc, interp.cpu.regs().pc);

@@ -10,9 +10,6 @@
 // bit-identical with the engine on and off.
 #include <gtest/gtest.h>
 
-#include <tuple>
-
-#include "arch/block_cache.h"  // SM_DBT_ENABLED
 #include "support/guest_runner.h"
 
 namespace sm {
@@ -58,12 +55,12 @@ TEST(DbtSplit, FillWindowOpeningMidBlockExitsToSingleStep) {
   // windows opened and stepped through...
   EXPECT_GT(r.k->stats().split_dtlb_loads, 0u);
   EXPECT_GT(r.k->stats().single_steps, 0u);
-  // ...and the block engine was still in play around them (unless this
-  // build compiled it out: the split assertions above hold either way).
-#if SM_DBT_ENABLED
-  EXPECT_GT(r.k->stats().block_cache_hits, 0u);
-  EXPECT_GT(r.k->stats().block_instructions, 0u);
-#endif
+  // ...and the block engine was still in play around them (unless SM_DBT=0
+  // switched it off: the split assertions above hold either way).
+  if (r.k->cpu().block_engine_enabled()) {
+    EXPECT_GT(r.k->stats().block_cache_hits, 0u);
+    EXPECT_GT(r.k->stats().block_instructions, 0u);
+  }
   EXPECT_FALSE(live_regs(r).tf()) << "a single-step window leaked";
 }
 
@@ -82,9 +79,9 @@ TEST(DbtSplit, CachedBlocksSurviveRestrictUnrestrictTransitions) {
   EXPECT_EQ(live_regs(r).r[2], 40u);
   EXPECT_GT(r.k->stats().split_dtlb_fallbacks, 0u)
       << "walk failures never exercised the fallback path";
-#if SM_DBT_ENABLED
-  EXPECT_GT(r.k->stats().block_cache_hits, 0u);
-#endif
+  if (r.k->cpu().block_engine_enabled()) {
+    EXPECT_GT(r.k->stats().block_cache_hits, 0u);
+  }
   EXPECT_EQ(r.k->stats().injections_detected, 0u);
   // The loop's text page ends restricted (windows all closed).
   const auto program = assembler::assemble(guest::program(kStoreLoop));
@@ -92,19 +89,6 @@ TEST(DbtSplit, CachedBlocksSurviveRestrictUnrestrictTransitions) {
   ASSERT_TRUE(pte.present());
   EXPECT_FALSE(pte.user()) << "text page left unrestricted";
   EXPECT_FALSE(live_regs(r).tf());
-}
-
-// Simulated stats that must not move when the host-side block engine is
-// toggled. Everything except the block/decode/memo fast-path counters.
-auto sim_stats(const metrics::Stats& s) {
-  return std::tuple{
-      s.cycles,          s.instructions,      s.itlb_hits,
-      s.itlb_misses,     s.dtlb_hits,         s.dtlb_misses,
-      s.tlb_flushes,     s.hardware_walks,    s.page_faults,
-      s.split_dtlb_loads, s.split_itlb_loads, s.split_dtlb_fallbacks,
-      s.single_steps,    s.demand_pages,      s.cow_copies,
-      s.syscalls,        s.invalid_opcode_faults,
-      s.context_switches, s.injections_detected};
 }
 
 TEST(DbtSplit, SplitRunStatsIdenticalWithAndWithoutDbt) {
@@ -120,7 +104,7 @@ TEST(DbtSplit, SplitRunStatsIdenticalWithAndWithoutDbt) {
   a.k->run(200'000);
   b.k->run(200'000);
 
-  EXPECT_EQ(sim_stats(a.k->stats()), sim_stats(b.k->stats()));
+  EXPECT_EQ(metrics::billing_difference(a.k->stats(), b.k->stats()), "");
   EXPECT_EQ(live_regs(a).r[0], live_regs(b).r[0]);
   EXPECT_EQ(live_regs(a).pc, live_regs(b).pc);
   EXPECT_EQ(b.k->stats().block_cache_hits, 0u)
@@ -141,7 +125,7 @@ TEST(DbtSplit, WalkFailureRunStatsIdenticalWithAndWithoutDbt) {
   a.k->run(400'000);
   b.k->run(400'000);
 
-  EXPECT_EQ(sim_stats(a.k->stats()), sim_stats(b.k->stats()));
+  EXPECT_EQ(metrics::billing_difference(a.k->stats(), b.k->stats()), "");
   EXPECT_EQ(live_regs(a).r[0], live_regs(b).r[0]);
   EXPECT_EQ(live_regs(a).pc, live_regs(b).pc);
 }

@@ -2,6 +2,10 @@
 // just as important — genuinely divergent behaviour is *detected*.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
+
 #include "fuzz/corpus.h"
 #include "fuzz/generator.h"
 #include "fuzz/oracle.h"
@@ -87,6 +91,73 @@ TEST(FuzzOracle, CleanRunsPassWithBugInjectorDisarmed) {
   for (u64 seed : {1, 2, 3, 4, 5, 6, 7, 8}) {
     const OracleVerdict v = check_case(generate(seed), opts);
     EXPECT_TRUE(v.ok) << "seed " << seed << ": " << v.divergence;
+  }
+}
+
+// make_case_kernel leaves the core count to KernelConfig's default, the
+// SM_CORES environment variable; this pins it for one test.
+class ScopedCores {
+ public:
+  explicit ScopedCores(const char* n) {
+    if (const char* v = std::getenv("SM_CORES")) saved_ = v;
+    setenv("SM_CORES", n, 1);
+  }
+  ~ScopedCores() {
+    if (saved_) {
+      setenv("SM_CORES", saved_->c_str(), 1);
+    } else {
+      unsetenv("SM_CORES");
+    }
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+TEST(FuzzOracle, OffLegsSwitchTheirFastPathOffOnEveryCore) {
+  // Four processes looping over loads and stores: at 4 cores they run on
+  // every core, so a toggle applied to the active core only leaves hits
+  // on the others.
+  FuzzCase c;
+  c.body = R"(_start:
+    movi r0, SYS_FORK
+    syscall
+    movi r0, SYS_FORK
+    syscall
+    movi r4, buf
+    movi r6, 300
+loop:
+    store [r4], r6
+    load r5, [r4]
+    addi r6, -1
+    cmpi r6, 0
+    jnz loop
+    movi r1, 0
+    movi r0, SYS_EXIT
+    syscall
+.bss
+buf: .space 64
+)";
+  ScopedCores cores("4");
+  const auto probe = make_case_kernel(c, billing_configs().front());
+  ASSERT_EQ(probe->num_cores(), 4u);
+  for (const OracleConfig& cfg : billing_configs()) {
+    const metrics::Stats s = run_case(c, cfg).stats;
+    if (cfg.data_memo) {
+      EXPECT_GT(s.data_fastpath_hits, 0u) << cfg.label;
+    } else {
+      EXPECT_EQ(s.data_fastpath_hits, 0u) << cfg.label;
+    }
+    if (cfg.decode_cache) {
+      EXPECT_GT(s.decode_cache_hits, 0u) << cfg.label;
+    } else {
+      EXPECT_EQ(s.decode_cache_hits, 0u) << cfg.label;
+    }
+    if (cfg.dbt && probe->cpu().block_engine_enabled()) {
+      EXPECT_GT(s.block_cache_hits, 0u) << cfg.label;
+    } else {
+      EXPECT_EQ(s.block_cache_hits, 0u) << cfg.label;
+    }
   }
 }
 

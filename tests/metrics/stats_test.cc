@@ -1,4 +1,5 @@
-// Metrics: counter formatting and cost-model defaults.
+// Metrics: the counter table, its printer and billing comparison, and
+// cost-model defaults.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -11,18 +12,30 @@ namespace {
 
 TEST(Stats, StreamFormatNamesEveryHeadlineCounter) {
   Stats s;
-  s.cycles = 12;
-  s.instructions = 7;
-  s.page_faults = 3;
-  s.split_dtlb_loads = 2;
-  s.split_itlb_loads = 1;
+  std::uint64_t v = 0;
+  for (const Counter& c : kCounters) s.*c.field = ++v;
   std::ostringstream os;
   os << s;
-  const std::string out = os.str();
-  EXPECT_NE(out.find("cycles=12"), std::string::npos);
-  EXPECT_NE(out.find("instructions=7"), std::string::npos);
-  EXPECT_NE(out.find("page_faults=3"), std::string::npos);
-  EXPECT_NE(out.find("split_loads(d/i)=2/1"), std::string::npos);
+  const std::string out = " " + os.str() + " ";
+  v = 0;
+  for (const Counter& c : kCounters) {
+    const std::string want =
+        " " + std::string(c.name) + "=" + std::to_string(++v) + " ";
+    EXPECT_NE(out.find(want), std::string::npos) << want << "in: " << out;
+  }
+}
+
+TEST(Stats, BillingDifferenceSkipsOnlyHostSideCounters) {
+  for (const Counter& c : kCounters) {
+    Stats want, got;
+    got.*c.field = 3;
+    const std::string d = billing_difference(want, got);
+    if (c.host_side) {
+      EXPECT_EQ(d, "") << c.name;
+    } else {
+      EXPECT_EQ(d, std::string(c.name) + " 3 != 0");
+    }
+  }
 }
 
 TEST(Stats, ResetClearsEverything) {

@@ -89,13 +89,7 @@ void expect_same(const RunSnapshot& a, const RunSnapshot& b,
   for (int i = 0; i < arch::kNumRegs; ++i) {
     EXPECT_EQ(a.regs.r[i], b.regs.r[i]) << who << " r" << i;
   }
-  EXPECT_EQ(a.stats.cycles, b.stats.cycles) << who;
-  EXPECT_EQ(a.stats.instructions, b.stats.instructions) << who;
-  EXPECT_EQ(a.stats.dtlb_hits, b.stats.dtlb_hits) << who;
-  EXPECT_EQ(a.stats.dtlb_misses, b.stats.dtlb_misses) << who;
-  EXPECT_EQ(a.stats.page_faults, b.stats.page_faults) << who;
-  EXPECT_EQ(a.stats.split_itlb_loads, b.stats.split_itlb_loads) << who;
-  EXPECT_EQ(a.stats.context_switches, b.stats.context_switches) << who;
+  EXPECT_EQ(metrics::billing_difference(a.stats, b.stats), "") << who;
 }
 
 TEST(ConcurrentIsolation, TwoKernelsOnTwoThreadsMatchSerialRuns) {

@@ -6,19 +6,21 @@
 // simulated state — stats (cycles included), consoles, fd tables, free
 // lists, TLB entries and LRU clocks, trace ring and profiler buckets — so
 // field identity subsumes every per-field assertion, and a mismatch names
-// the drifted field. The ONLY tolerated differences are the host-side
-// fast-path counters (fetch/data_fastpath_hits, decode_cache_*, block_*,
-// sched_wake_checks): restore drops the host caches cold by design, so
-// those counters legitimately differ — the same exemption the fuzz
-// oracle's billing clause makes. Everything else must match to the byte.
+// the drifted field. The ONLY tolerated differences are the counters
+// metrics::kCounters marks host_side: restore drops the host caches cold
+// by design, so those counters legitimately differ — the same exemption
+// the fuzz oracle's billing clause makes. Everything else must match to
+// the byte.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "metrics/stats.h"
 #include "snapshot/serializer.h"
 #include "support/guest_runner.h"
 #include "trace/trace.h"
@@ -50,16 +52,12 @@ inline void restore_bytes(kernel::Kernel& k, const std::string& blob) {
 // a restored run honestly re-records the blocks its cold cache lost —
 // architectural_events() below compares the non-host subset exactly.
 inline bool host_side_counter(const std::string& key) {
-  static const char* kExempt[] = {
-      "machine.stats.fetch_fastpath_hits",
-      "machine.stats.data_fastpath_hits",
-      "machine.stats.decode_cache_",
-      "machine.stats.block_",
-      "machine.stats.sched_wake_checks",
-      "machine.trace.events",
-  };
-  for (const char* p : kExempt) {
-    if (key.rfind(p, 0) == 0) return true;
+  if (key.rfind("machine.trace.events", 0) == 0) return true;
+  const std::string_view stats = "machine.stats.";
+  if (key.rfind(stats, 0) != 0) return false;
+  const std::string name = key.substr(stats.size());
+  for (const metrics::Counter& c : metrics::kCounters) {
+    if (c.host_side && name == c.name) return true;
   }
   return false;
 }

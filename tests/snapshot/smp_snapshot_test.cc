@@ -93,6 +93,28 @@ TEST(SmpSnapshot, SaveRestoreSaveByteIdenticalAtFourCores) {
   }
 }
 
+// Every counter of the table survives save -> restore into a fresh
+// kernel, the SMP ones included: at 4 cores the fork-workers run sends
+// IPIs, completes shootdowns and steals work, and a record that leaves a
+// counter out restores it as 0 while the rest of the machine round-trips.
+TEST(SmpSnapshot, RestoreIntoFreshKernelKeepsEveryCounter) {
+  const kernel::KernelConfig cfg = smp_cfg(4);
+  auto saver = start_guest(kForkWorkers, ProtectionMode::kSplitAll,
+                           ResponseMode::kBreak, cfg);
+  saver.k->run(200'000);
+  const metrics::Stats want = saver.k->stats();
+  ASSERT_GT(want.ipi_sends, 0u);
+  ASSERT_GT(want.tlb_shootdowns, 0u);
+
+  auto fresh = start_guest(kForkWorkers, ProtectionMode::kSplitAll,
+                           ResponseMode::kBreak, cfg);
+  restore_bytes(*fresh.k, save_bytes(*saver.k));
+  const metrics::Stats& got = fresh.k->stats();
+  for (const metrics::Counter& c : metrics::kCounters) {
+    EXPECT_EQ(got.*c.field, want.*c.field) << c.name;
+  }
+}
+
 TEST(SmpSnapshot, ReplayEquivalenceAcrossQuantumBoundaries) {
   const kernel::KernelConfig cfg = smp_cfg(4);
   // Straight-through vs snapshot/restore at prefixes straddling the

@@ -189,28 +189,8 @@ TEST(TraceBillingIdentity, TracedAndUntracedStatsAreIdentical) {
   EXPECT_EQ(base.proc().exit_code, traced.proc().exit_code);
   EXPECT_EQ(base.console(), traced.console());
 
-  const metrics::Stats& a = base.k->stats();
-  const metrics::Stats& b = traced.k->stats();
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.itlb_hits, b.itlb_hits);
-  EXPECT_EQ(a.itlb_misses, b.itlb_misses);
-  EXPECT_EQ(a.dtlb_hits, b.dtlb_hits);
-  EXPECT_EQ(a.dtlb_misses, b.dtlb_misses);
-  EXPECT_EQ(a.tlb_flushes, b.tlb_flushes);
-  EXPECT_EQ(a.hardware_walks, b.hardware_walks);
-  EXPECT_EQ(a.page_faults, b.page_faults);
-  EXPECT_EQ(a.split_itlb_loads, b.split_itlb_loads);
-  EXPECT_EQ(a.split_dtlb_loads, b.split_dtlb_loads);
-  EXPECT_EQ(a.split_dtlb_fallbacks, b.split_dtlb_fallbacks);
-  EXPECT_EQ(a.soft_tlb_fills, b.soft_tlb_fills);
-  EXPECT_EQ(a.single_steps, b.single_steps);
-  EXPECT_EQ(a.demand_pages, b.demand_pages);
-  EXPECT_EQ(a.cow_copies, b.cow_copies);
-  EXPECT_EQ(a.syscalls, b.syscalls);
-  EXPECT_EQ(a.invalid_opcode_faults, b.invalid_opcode_faults);
-  EXPECT_EQ(a.context_switches, b.context_switches);
-  EXPECT_EQ(a.injections_detected, b.injections_detected);
+  EXPECT_EQ(metrics::billing_difference(base.k->stats(), traced.k->stats()),
+            "");
 }
 
 }  // namespace

@@ -160,22 +160,8 @@ buf: .space 98304
   EXPECT_GT(with_memo.stats.data_fastpath_hits, 0u);
   EXPECT_EQ(without_memo.stats.data_fastpath_hits, 0u);
   EXPECT_EQ(with_memo.cycles, without_memo.cycles);
-  EXPECT_EQ(with_memo.stats.instructions, without_memo.stats.instructions);
-  EXPECT_EQ(with_memo.stats.dtlb_hits, without_memo.stats.dtlb_hits);
-  EXPECT_EQ(with_memo.stats.dtlb_misses, without_memo.stats.dtlb_misses);
-  EXPECT_EQ(with_memo.stats.itlb_hits, without_memo.stats.itlb_hits);
-  EXPECT_EQ(with_memo.stats.itlb_misses, without_memo.stats.itlb_misses);
-  EXPECT_EQ(with_memo.stats.page_faults, without_memo.stats.page_faults);
-  EXPECT_EQ(with_memo.stats.hardware_walks,
-            without_memo.stats.hardware_walks);
-  EXPECT_EQ(with_memo.stats.split_dtlb_loads,
-            without_memo.stats.split_dtlb_loads);
-  EXPECT_EQ(with_memo.stats.split_itlb_loads,
-            without_memo.stats.split_itlb_loads);
-  EXPECT_EQ(with_memo.stats.context_switches,
-            without_memo.stats.context_switches);
-  EXPECT_EQ(with_memo.stats.cow_copies, without_memo.stats.cow_copies);
-  EXPECT_EQ(with_memo.stats.syscalls, without_memo.stats.syscalls);
+  EXPECT_EQ(metrics::billing_difference(without_memo.stats, with_memo.stats),
+            "");
 }
 
 TEST(Workloads, NormalizedHandlesDegenerateInputs) {
