@@ -166,11 +166,6 @@ int main(int argc, char** argv) {
       tcfg.tlb_ways = 4;
       const auto r = internal::run_program(
           c.name, c.program, Protection::split_all().with_trace(), tcfg);
-      if (!r.trace_summary) {
-        std::printf(
-            "\n(--trace-summary: tracing compiled out, SM_TRACE=OFF)\n");
-        break;
-      }
       std::printf("\n--- %s/%u/split: cycle attribution ---\n%s", c.name,
                   geometries.front(),
                   trace::format_summary(*r.trace_summary).c_str());

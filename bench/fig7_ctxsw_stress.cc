@@ -74,17 +74,13 @@ int main(int argc, char** argv) {
     // capacity faults (this workload barely has a working set).
     const auto traced =
         run_unixbench(UnixBench::kPipeContextSwitch, split.with_trace());
-    if (traced.trace_summary) {
-      const trace::ProfileSummary& s = *traced.trace_summary;
-      std::printf("\n--- pipe-ctxsw under split-all: cycle attribution ---\n");
-      std::printf("%s", trace::format_summary(s).c_str());
-      std::printf("SS4.6 dominant source: %s\n",
-                  s.ctx_switch_flush_cycles() >= s.capacity_fault_cycles()
-                      ? "context-switch flushes (paper: dominant here)"
-                      : "tlb capacity faults (unexpected for this stressor)");
-    } else {
-      std::printf("\n(--trace-summary: tracing compiled out, SM_TRACE=OFF)\n");
-    }
+    const trace::ProfileSummary& s = *traced.trace_summary;
+    std::printf("\n--- pipe-ctxsw under split-all: cycle attribution ---\n");
+    std::printf("%s", trace::format_summary(s).c_str());
+    std::printf("SS4.6 dominant source: %s\n",
+                s.ctx_switch_flush_cycles() >= s.capacity_fault_cycles()
+                    ? "context-switch flushes (paper: dominant here)"
+                    : "tlb capacity faults (unexpected for this stressor)");
   }
 
   pool.report(table);

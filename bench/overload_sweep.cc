@@ -267,14 +267,10 @@ int main(int argc, char** argv) {
     OverloadConfig cfg = config_at(base, legs[1].capacity, 2.0);
     const OverloadResult traced =
         run_overload_load(split.with_trace(), cfg);
-    if (traced.base.trace_summary) {
-      std::printf("\n--- split-all overload 2x: cycle attribution ---\n");
-      std::printf("%s", trace::format_summary(*traced.base.trace_summary,
-                                              traced.completed)
-                            .c_str());
-    } else {
-      std::printf("\n(--trace-summary: tracing compiled out, SM_TRACE=OFF)\n");
-    }
+    std::printf("\n--- split-all overload 2x: cycle attribution ---\n");
+    std::printf("%s", trace::format_summary(*traced.base.trace_summary,
+                                            traced.completed)
+                          .c_str());
   }
 
   pool.report(table);

@@ -1,4 +1,4 @@
-// Fault-injection robustness campaign (ISSUE 5 acceptance harness).
+// Fault-injection robustness campaign.
 //
 // Pairs N seeded guest programs with N seeded fault schedules and replays
 // each pair against the split-memory engine with the invariant watchdog
@@ -11,15 +11,18 @@
 //   3. reports, per fault kind, how every fault was accounted for:
 //      recovered / degraded / breach / unfired — NEVER silent.
 //
-// The campaign fails (exit 1) on any security breach or any fired fault
-// left unclassified. Per-point work is fully self-contained, so the
-// ExperimentRunner --jobs determinism contract holds: --jobs=N stdout is
-// byte-identical to --jobs=1.
+// The campaign fails (exit 1) on any security breach, any fired fault left
+// unclassified, any wedged run, a scheduled column that does not add up to
+// schedules x 16, or a campaign in which no fault fired at all (a detached
+// injector would otherwise pass every other check). Per-point work is fully
+// self-contained, so the ExperimentRunner --jobs determinism contract
+// holds: --jobs=N stdout is byte-identical to --jobs=1.
 //
 // Schedule count: 500 (the acceptance bar), 60 with --quick; the
 // SM_CAMPAIGN_SCHEDULES environment variable overrides both (CI uses 200).
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -109,6 +112,47 @@ std::string outcome_metric(inject::FaultKind kind, const char* what) {
   return std::string(inject::to_string(kind)) + "/" + what;
 }
 
+// One sweep point: metric "<kind>/<outcome>" counts that schedule's faults
+// of that kind with that outcome (unfired, unclassified, or the watchdog's
+// classification), so every scheduled fault lands in exactly one count.
+runner::PointResult campaign_point(u32 i) {
+  const PairOutcome o = run_pair(i);
+  std::map<std::string, u32> per_kind;
+  u32 fired = 0;
+  u32 unclassified = 0;
+  for (const auto& rec : o.records) {
+    const char* what = "unfired";
+    if (rec.fired) {
+      ++fired;
+      if (rec.outcome.has_value()) {
+        what = to_string(*rec.outcome);
+      } else {
+        ++unclassified;
+        what = "unclassified";
+      }
+    }
+    ++per_kind[outcome_metric(rec.fault.kind, what)];
+  }
+  runner::PointResult r;
+  for (const auto& [name, count] : per_kind) r.add(name, count);
+  r.add("fired", fired);
+  r.add("unclassified", unclassified);
+  r.add("breaches", o.breaches);
+  r.add("violations", o.violations);
+  r.add("recoveries", o.recoveries);
+  r.add("degradations", o.degradations);
+  r.add("oom_degradations", static_cast<double>(o.oom_degradations));
+  r.add("incomplete", o.completed ? 0 : 1);
+  r.text = runner::strf(
+      "schedule %04u  instret=%-9llu fired=%2u "
+      "viol=%3u rec=%3u deg=%u oom=%llu breach=%u%s\n",
+      i, static_cast<unsigned long long>(o.clean_instructions), fired,
+      o.violations, o.recoveries, o.degradations,
+      static_cast<unsigned long long>(o.oom_degradations), o.breaches,
+      o.completed ? "" : "  INCOMPLETE");
+  return r;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -126,50 +170,8 @@ int main(int argc, char** argv) {
   std::vector<runner::SweepPoint> points;
   points.reserve(schedules);
   for (u32 i = 0; i < schedules; ++i) {
-    points.push_back({runner::strf("schedule %04u", i), [i] {
-                        const PairOutcome o = run_pair(i);
-                        runner::PointResult r;
-                        u32 fired = 0;
-                        u32 unclassified = 0;
-                        for (const auto& rec : o.records) {
-                          const inject::FaultKind kind = rec.fault.kind;
-                          if (!rec.fired) {
-                            r.add(outcome_metric(kind, "unfired"), 1);
-                            continue;
-                          }
-                          ++fired;
-                          if (!rec.outcome.has_value()) {
-                            ++unclassified;
-                            r.add(outcome_metric(kind, "unclassified"), 1);
-                            continue;
-                          }
-                          r.add(outcome_metric(kind,
-                                               to_string(*rec.outcome)),
-                                1);
-                        }
-                        r.add("fired", fired);
-                        r.add("unclassified", unclassified);
-                        r.add("breaches", o.breaches);
-                        r.add("violations", o.violations);
-                        r.add("recoveries", o.recoveries);
-                        r.add("degradations", o.degradations);
-                        r.add("oom_degradations",
-                              static_cast<double>(o.oom_degradations));
-                        r.add("incomplete", o.completed ? 0 : 1);
-                        r.text = runner::strf(
-                            "schedule %04u  instret=%-9llu fired=%2u "
-                            "viol=%3u rec=%3u deg=%u oom=%llu breach=%u%s\n",
-                            i,
-                            static_cast<unsigned long long>(
-                                o.clean_instructions),
-                            fired, o.violations, o.recoveries,
-                            o.degradations,
-                            static_cast<unsigned long long>(
-                                o.oom_degradations),
-                            o.breaches,
-                            o.completed ? "" : "  INCOMPLETE");
-                        return r;
-                      }});
+    points.push_back(
+        {runner::strf("schedule %04u", i), [i] { return campaign_point(i); }});
   }
 
   runner::ExperimentRunner pool(opts);
@@ -180,6 +182,8 @@ int main(int argc, char** argv) {
   // exactly one column.
   std::printf("\n%-16s %9s %6s %10s %9s %7s %8s\n", "fault kind", "scheduled",
               "fired", "recovered", "degraded", "breach", "unfired");
+  double total_scheduled = 0;
+  double total_fired = 0;
   double total_breach = 0;
   double total_unclassified = 0;
   double total_incomplete = 0;
@@ -197,6 +201,8 @@ int main(int argc, char** argv) {
     std::printf("%-16s %9.0f %6.0f %10.0f %9.0f %7.0f %8.0f\n",
                 inject::to_string(kind), fired + unfired, fired, rec, deg,
                 breach, unfired);
+    total_scheduled += fired + unfired;
+    total_fired += fired;
     total_breach += breach;
     total_unclassified += unclassified;
   }
@@ -204,18 +210,23 @@ int main(int argc, char** argv) {
     total_incomplete += metric(table[p], "incomplete");
   }
 
-  std::printf("\ncampaign: %u schedules x %u faults, breaches=%.0f "
-              "unclassified=%.0f incomplete=%.0f\n",
-              schedules, kFaultsPerSchedule, total_breach, total_unclassified,
-              total_incomplete);
+  std::printf("\ncampaign: %u schedules x %u faults, scheduled=%.0f "
+              "fired=%.0f breaches=%.0f unclassified=%.0f incomplete=%.0f\n",
+              schedules, kFaultsPerSchedule, total_scheduled, total_fired,
+              total_breach, total_unclassified, total_incomplete);
   pool.report(table);
 
-  const bool failed =
-      total_breach > 0 || total_unclassified > 0 || total_incomplete > 0;
-  if (failed) {
-    std::fprintf(stderr,
-                 "robustness_campaign: FAILED (breach, silent fault, or "
-                 "wedged run)\n");
+  const char* failure = nullptr;
+  if (total_breach > 0 || total_unclassified > 0 || total_incomplete > 0) {
+    failure = "breach, silent fault, or wedged run";
+  } else if (total_scheduled !=
+             static_cast<double>(schedules) * kFaultsPerSchedule) {
+    failure = "scheduled faults missing from the per-kind table";
+  } else if (total_fired == 0) {
+    failure = "no fault fired (is the injector attached?)";
   }
-  return failed ? 1 : 0;
+  if (failure != nullptr) {
+    std::fprintf(stderr, "robustness_campaign: FAILED (%s)\n", failure);
+  }
+  return failure != nullptr ? 1 : 0;
 }

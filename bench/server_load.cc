@@ -109,14 +109,10 @@ int main(int argc, char** argv) {
     // overhead land under production-shaped traffic?
     const ServerLoadResult traced =
         run_server_load(split.with_trace(), cfg);
-    if (traced.base.trace_summary) {
-      std::printf("\n--- split-all server: cycle attribution ---\n");
-      std::printf("%s", trace::format_summary(*traced.base.trace_summary,
-                                              traced.requests_completed)
-                            .c_str());
-    } else {
-      std::printf("\n(--trace-summary: tracing compiled out, SM_TRACE=OFF)\n");
-    }
+    std::printf("\n--- split-all server: cycle attribution ---\n");
+    std::printf("%s", trace::format_summary(*traced.base.trace_summary,
+                                            traced.requests_completed)
+                          .c_str());
   }
 
   pool.report(table);

@@ -27,7 +27,7 @@ FaultInjector::FaultInjector(FaultSchedule schedule)
     : schedule_(std::move(schedule)) {
   records_.reserve(schedule_.faults.size());
   for (const ScheduledFault& f : schedule_.faults) {
-    records_.push_back(Record{.fault = f});
+    records_.emplace_back().fault = f;
   }
 }
 

@@ -1,14 +1,10 @@
-// Run-loop hook interfaces for the robustness subsystem, plus the
-// SM_INVARIANT compile-time gate (two-layer gating mirroring SM_TRACE):
+// Run-loop hook interfaces for the robustness subsystem.
 //
-//  1. Compile time. The kernel's per-instruction hook sites are wrapped in
-//     `#if SM_INVARIANT_ENABLED`; with -DSM_INVARIANT_ENABLED=0 (CMake:
-//     -DSM_INVARIANT=OFF) the run loop carries zero robustness code.
-//  2. Run time. When compiled in (the default), the kernel holds non-owning
-//     FaultSource/StepObserver pointers that are nullptr unless a harness
-//     attached them; each site costs one unlikely-hinted null check per
-//     retired instruction. Cpu::step() itself carries nothing — the
-//     BM_CpuStepCached hot loop never sees these branches.
+// Gating is at run time only: the kernel holds non-owning
+// FaultSource/StepObserver pointers that are nullptr unless a harness
+// attached them, and each site costs one unlikely-hinted null check per
+// retired instruction. Cpu::step() itself carries nothing — the
+// BM_CpuStepCached hot loop never sees these branches.
 //
 // The concrete implementations live outside the kernel: the deterministic
 // fault injector (src/inject/) is a FaultSource, and the split-protocol
@@ -18,10 +14,6 @@
 #pragma once
 
 #include "arch/types.h"
-
-#ifndef SM_INVARIANT_ENABLED
-#define SM_INVARIANT_ENABLED 1
-#endif
 
 namespace sm::kernel {
 

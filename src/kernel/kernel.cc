@@ -37,8 +37,8 @@ std::string hex(u32 v) {
 }
 
 // Runtime kill switch for the block engine, read once: SM_DBT=0 turns it
-// off so one binary can produce the dbt-on/off identity diff
-// (cmake/DbtIdentityCheck.cmake) without a rebuild.
+// off so one binary can produce the dbt-on/off identity diff (the
+// dbt_identity_* ctests) without a rebuild.
 bool dbt_env_enabled() {
   static const bool enabled = [] {
     const char* v = std::getenv("SM_DBT");
@@ -84,7 +84,7 @@ Kernel::Kernel(KernelConfig cfg)
     cores_.push_back(std::make_unique<Core>(i, pm_, stats_, cfg_.cost,
                                             cfg_.tlb_entries, cfg_.tlb_ways));
   }
-  if (SM_TRACE_ENABLED && cfg_.trace) {
+  if (cfg_.trace) {
     trace_.enable({cfg_.trace_ring_capacity});
     trace_.set_stats(&stats_);
     trace_ptr_ = &trace_;
@@ -750,7 +750,6 @@ Kernel::RunResult Kernel::run(u64 max_instructions, u64 cycle_stop) {
         if (!core.current) continue;  // blocked again or exited
       }
 
-#if SM_INVARIANT_ENABLED
       if (fault_source_ != nullptr) [[unlikely]] {
         fault_source_->pre_step(*this, p);
         // Stall-worker fault: park the process about to run as if it had
@@ -764,9 +763,8 @@ Kernel::RunResult Kernel::run(u64 max_instructions, u64 cycle_stop) {
       if (step_observer_ != nullptr) [[unlikely]] {
         step_observer_->pre_step(*this, p);
       }
-#endif
       const bool tf_before = core.cpu.regs().tf();
-      [[maybe_unused]] const u32 pc_before = core.cpu.regs().pc;
+      const u32 pc_before = core.cpu.regs().pc;
       // Block-engine dispatch (mini-DBT): whole basic blocks per dispatch
       // when nothing needs to observe individual instructions. TF windows
       // are per-instruction by definition (Algorithm 2), and an attached
@@ -816,7 +814,6 @@ Kernel::RunResult Kernel::run(u64 max_instructions, u64 cycle_stop) {
           }
         }
       }
-#if SM_INVARIANT_ENABLED
       if (step_observer_ != nullptr) [[unlikely]] {
         step_observer_->post_step(*this, p, pc_before);
       }
@@ -826,7 +823,6 @@ Kernel::RunResult Kernel::run(u64 max_instructions, u64 cycle_stop) {
           core.slice_used = cfg_.cost.timeslice_instructions;
         }
       }
-#endif
 
       // Timer preemption: round-robin if someone else is waiting for the
       // CPU.
@@ -892,7 +888,7 @@ Kernel::RunResult Kernel::run(u64 max_instructions, u64 cycle_stop) {
 void Kernel::handle_trap(Process& p, const Trap& trap, bool tf_before) {
   switch (trap.kind) {
     case TrapKind::kSyscall: {
-      trace::Scope scope(SM_TRACE_SINK(trace_ptr_), trace::Category::kSyscall,
+      trace::Scope scope(trace_ptr_, trace::Category::kSyscall,
                          cpu().regs().pc);
       // Record before do_syscall overwrites r0 with the return value.
       SM_TRACE(trace_ptr_, record(trace::EventKind::kSyscall, cpu().regs().pc,
@@ -910,7 +906,7 @@ void Kernel::handle_trap(Process& p, const Trap& trap, bool tf_before) {
       break;
     }
     case TrapKind::kPageFault: {
-      trace::Scope scope(SM_TRACE_SINK(trace_ptr_),
+      trace::Scope scope(trace_ptr_,
                          trap.pf.soft_miss ? trace::Category::kSoftTlbFill
                                            : trace::Category::kPageFaultTrap,
                          trap.pf.addr);
@@ -939,14 +935,13 @@ void Kernel::handle_trap(Process& p, const Trap& trap, bool tf_before) {
       break;
     }
     case TrapKind::kDebugStep: {
-      trace::Scope scope(SM_TRACE_SINK(trace_ptr_),
-                         trace::Category::kDebugTrap, cpu().regs().pc);
+      trace::Scope scope(trace_ptr_, trace::Category::kDebugTrap,
+                         cpu().regs().pc);
       SM_TRACE(trace_ptr_, record(trace::EventKind::kTrap, cpu().regs().pc, 0,
                                   static_cast<trace::u8>(trap.kind)));
       stats_.cycles += cfg_.cost.trap_cost;
       SM_TRACE(trace_ptr_,
                charge(trace::Category::kDebugTrap, cfg_.cost.trap_cost));
-#if SM_INVARIANT_ENABLED
       if (fault_source_ != nullptr &&
           fault_source_->drop_debug_trap(*this, p)) [[unlikely]] {
         // Injected lost debug interrupt: the CPU consumed the trap but the
@@ -956,21 +951,18 @@ void Kernel::handle_trap(Process& p, const Trap& trap, bool tf_before) {
         regs_of(p).set_tf(false);
         break;
       }
-#endif
       engine_->on_debug_step(*this, p);
-#if SM_INVARIANT_ENABLED
       if (fault_source_ != nullptr &&
           fault_source_->duplicate_debug_trap(*this, p)) [[unlikely]] {
         // Injected spurious duplicate delivery; the handler is idempotent
         // (no pending window left), so this must absorb harmlessly.
         engine_->on_debug_step(*this, p);
       }
-#endif
       break;
     }
     case TrapKind::kInvalidOpcode: {
-      trace::Scope scope(SM_TRACE_SINK(trace_ptr_),
-                         trace::Category::kInvalidOpcodeTrap, cpu().regs().pc);
+      trace::Scope scope(trace_ptr_, trace::Category::kInvalidOpcodeTrap,
+                         cpu().regs().pc);
       SM_TRACE(trace_ptr_, record(trace::EventKind::kTrap, cpu().regs().pc, 0,
                                   static_cast<trace::u8>(trap.kind)));
       ++stats_.invalid_opcode_faults;
@@ -1136,12 +1128,10 @@ void Kernel::tlb_shootdown(Process& p, u32 vaddr) {
       ++stats_.ipi_sends;
       stats_.cycles += cfg_.cost.ipi;
       SM_TRACE(trace_ptr_, record(trace::EventKind::kIpiSend, page, t));
-#if SM_INVARIANT_ENABLED
       if (fault_source_ != nullptr &&
           fault_source_->drop_ipi(*this, p, t, page)) [[unlikely]] {
         continue;  // lost in flight; retry
       }
-#endif
       delivered = true;
     }
     if (!delivered) {
@@ -1151,7 +1141,6 @@ void Kernel::tlb_shootdown(Process& p, u32 vaddr) {
       pending_mask |= u32{1} << t;
       continue;
     }
-#if SM_INVARIANT_ENABLED
     if (fault_source_ != nullptr &&
         fault_source_->ack_without_flush(*this, p, t, page)) [[unlikely]] {
       // The target acked but its handler never flushed: a stale entry
@@ -1160,7 +1149,6 @@ void Kernel::tlb_shootdown(Process& p, u32 vaddr) {
       SM_TRACE(trace_ptr_, record(trace::EventKind::kIpiAck, page, t));
       continue;
     }
-#endif
     cores_[t]->mmu.invlpg(page);
     ++stats_.ipi_acks;
     SM_TRACE(trace_ptr_, record(trace::EventKind::kIpiAck, page, t));
@@ -1588,7 +1576,6 @@ u32 Kernel::sys_connect(Process& p, u32 port) {
                         : static_cast<u32>(it->second->backlog.size())));
     return kErrRefused;
   }
-#if SM_INVARIANT_ENABLED
   if (fault_source_ != nullptr &&
       fault_source_->drop_connection(*this, p, port)) [[unlikely]] {
     // Injected in-flight drop: indistinguishable from a full backlog to
@@ -1599,7 +1586,6 @@ u32 Kernel::sys_connect(Process& p, u32 port) {
                     static_cast<u32>(it->second->backlog.size()), 1));
     return kErrRefused;
   }
-#endif
   ListenSock& sock = *it->second;
   auto c2s = std::make_shared<Pipe>();
   auto s2c = std::make_shared<Pipe>();

@@ -78,8 +78,7 @@ struct KernelConfig {
 
   // Structured event tracing + cycle-attribution profiler (src/trace).
   // Pure observation: simulated stats are bit-identical with this on or
-  // off (the billing-identity invariant, fuzz-oracle enforced). Ignored
-  // when the build compiled the trace layer out (-DSM_TRACE=OFF).
+  // off (the billing-identity invariant, fuzz-oracle enforced).
   bool trace = false;
   u32 trace_ring_capacity = 1 << 16;
 
@@ -249,7 +248,7 @@ class Kernel {
 
   // --- robustness hooks (src/inject, src/invariant) ------------------------
   // Non-owning; nullptr (the default) means no fault injection / no
-  // watchdog. Compiled out entirely under -DSM_INVARIANT=OFF.
+  // watchdog.
   void set_fault_source(FaultSource* src) { fault_source_ = src; }
   void set_step_observer(StepObserver* obs) { step_observer_ = obs; }
   FaultSource* fault_source() { return fault_source_; }

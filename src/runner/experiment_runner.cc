@@ -42,9 +42,7 @@ double seconds_since(Clock::time_point t0) {
                "lines.\n"
                "  --trace-summary      append a cycle-attribution breakdown\n"
                "                       (paper SS4.6) for key protected "
-               "points;\n"
-               "                       requires tracing compiled in "
-               "(SM_TRACE=ON).\n"
+               "points.\n"
                "  --cores=N, --cores N simulated cores for benches that "
                "support\n"
                "                       SMP (0/absent: the bench's default,\n"

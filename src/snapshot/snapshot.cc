@@ -1002,10 +1002,10 @@ void Access::trace_state(Ar& ar, kernel::Kernel& k) {
   bool present = k.trace_ptr_ != nullptr;
   ar.value("present", present);
   if constexpr (Ar::reading) {
-    // config.trace already matched, but a build with the trace layer
-    // compiled out never enables the sink; reject the asymmetric restore.
+    // config.trace already matched and a kernel has a sink exactly when
+    // config.trace is set, so only a corrupt stream disagrees here.
     ar.check(present == (k.trace_ptr_ != nullptr),
-             "trace sink presence mismatch (SM_TRACE build difference?)");
+             "trace sink presence does not match config.trace");
   }
   if (present && k.trace_ptr_ != nullptr) {
     trace::TraceSink& ts = k.trace_;

@@ -1,18 +1,12 @@
 // TraceSink: the event sink + profiler facade the simulator components
-// talk to, and the compile-time gate that makes it all vanish.
+// talk to.
 //
-// Gating has two layers:
-//
-//  1. Compile time. Instrumentation sites go through the SM_TRACE macro
-//     (and SM_TRACE_SINK for the RAII scope). With -DSM_TRACE_ENABLED=0
-//     (CMake: -DSM_TRACE=OFF) every site compiles to nothing — the binary
-//     carries zero tracing code on its hot paths.
-//  2. Run time. When compiled in (the default), each component holds a
-//     TraceSink* that is nullptr unless KernelConfig::trace is set; each
-//     rare-event site costs one (unlikely-hinted) branch on that pointer.
-//     The per-instruction paths (Cpu::step, Mmu TLB-hit fast paths) carry
-//     NO trace code at all — their cycles are reconciled at summary time
-//     as the exec residual (see TraceSink::summary).
+// Gating is at run time only. Each component holds a TraceSink* that is
+// nullptr unless KernelConfig::trace is set, and every instrumentation site
+// goes through the SM_TRACE macro: one (unlikely-hinted) branch on that
+// pointer per rare event. The per-instruction paths (Cpu::step, Mmu TLB-hit
+// fast paths) carry NO trace code at all — their cycles are reconciled at
+// summary time as the exec residual (see TraceSink::summary).
 //
 // The billing-identity invariant: a TraceSink only ever OBSERVES — it
 // holds `const metrics::Stats*`, never charges the cost model, and never
@@ -27,11 +21,6 @@
 #include "trace/profiler.h"
 #include "trace/ring_buffer.h"
 
-#ifndef SM_TRACE_ENABLED
-#define SM_TRACE_ENABLED 1
-#endif
-
-#if SM_TRACE_ENABLED
 // SM_TRACE(sink_ptr, record(...)) — null-checked call through a sink.
 // The null (tracing-off) side is the one benchmarked paths take; mark the
 // sink-present side unlikely so the call stays out of the hot code layout.
@@ -41,14 +30,6 @@
       sm_ts_->call;                       \
     }                                     \
   } while (0)
-// Sink expression for contexts that need a value (e.g. trace::Scope).
-#define SM_TRACE_SINK(sink) (sink)
-#else
-#define SM_TRACE(sink, call) \
-  do {                       \
-  } while (0)
-#define SM_TRACE_SINK(sink) (static_cast<::sm::trace::TraceSink*>(nullptr))
-#endif
 
 namespace sm::snapshot {
 struct Access;
@@ -130,8 +111,7 @@ class TraceSink {
 };
 
 // RAII trap-handler attribution scope. Construct with a (possibly null)
-// sink; wrap the sink expression in SM_TRACE_SINK so the whole object
-// folds away under -DSM_TRACE_ENABLED=0.
+// sink; a null sink makes both ends no-ops.
 class Scope {
  public:
   Scope(TraceSink* sink, Category c, u32 vaddr) : sink_(sink) {

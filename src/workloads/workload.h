@@ -78,7 +78,7 @@ struct WorkloadResult {
   metrics::Stats stats;
   bool completed = false;
   // Cycle-attribution profile; populated only when the run was traced
-  // (KernelConfig::trace) and tracing is compiled in.
+  // (KernelConfig::trace).
   std::shared_ptr<trace::ProfileSummary> trace_summary;
 };
 

@@ -182,11 +182,6 @@ TEST(FaultSchedule, KindNamesRoundTrip) {
   EXPECT_FALSE(inject::fault_kind_from_string("flux-capacitor").has_value());
 }
 
-// Everything below drives the run-loop hooks, which -DSM_INVARIANT=OFF
-// compiles out of the kernel entirely; the schedule/corpus tests above
-// stay live in that configuration.
-#if SM_INVARIANT_ENABLED
-
 // --- watchdog on a clean machine -------------------------------------------
 
 TEST(InvariantWatchdog, CleanRunHasNoFalsePositives) {
@@ -414,8 +409,6 @@ TEST(InvariantWatchdog, RepeatedCorruptionDegradesToUnsplitLock) {
   r.k->run(100);
   EXPECT_EQ(p.exit_kind, ExitKind::kRunning);
 }
-
-#endif  // SM_INVARIANT_ENABLED
 
 }  // namespace
 }  // namespace sm

@@ -8,10 +8,6 @@
 #include "invariant/watchdog.h"
 #include "support/guest_runner.h"
 
-// The whole file drives the run-loop hooks, which -DSM_INVARIANT=OFF
-// compiles out of the kernel.
-#if SM_INVARIANT_ENABLED
-
 namespace sm {
 namespace {
 
@@ -241,5 +237,3 @@ spin:
 
 }  // namespace
 }  // namespace sm
-
-#endif  // SM_INVARIANT_ENABLED

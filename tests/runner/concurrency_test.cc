@@ -86,7 +86,7 @@ void expect_same(const RunSnapshot& a, const RunSnapshot& b,
                  const char* who) {
   EXPECT_EQ(a.exit_code, b.exit_code) << who;
   EXPECT_EQ(a.console, b.console) << who;
-  for (int i = 0; i < arch::kNumRegs; ++i) {
+  for (arch::u32 i = 0; i < arch::kNumRegs; ++i) {
     EXPECT_EQ(a.regs.r[i], b.regs.r[i]) << who << " r" << i;
   }
   EXPECT_EQ(metrics::billing_difference(a.stats, b.stats), "") << who;

@@ -62,8 +62,6 @@ testing::GuestRun run_traced(const char* body,
   return r;
 }
 
-#if SM_TRACE_ENABLED
-
 TEST(TraceEvents, ForkCowSplitRunEmitsOrderedEvents) {
   auto r = run_traced(kForkCowBody);
   ASSERT_TRUE(r.k->all_exited());
@@ -161,16 +159,6 @@ TEST(TraceEvents, SummaryAttributesTheRunsCycles) {
   EXPECT_GT(s.category_cycles(trace::Category::kContextSwitch), 0u);
   EXPECT_GT(s.category_cycles(trace::Category::kCowCopy), 0u);
 }
-
-#else  // !SM_TRACE_ENABLED
-
-TEST(TraceEvents, CompiledOutSinkIsNull) {
-  auto r = run_traced(kForkCowBody);
-  ASSERT_TRUE(r.k->all_exited());
-  EXPECT_EQ(r.k->trace_sink(), nullptr);
-}
-
-#endif
 
 // Billing identity, the invariant the whole layer stands on: a traced run
 // and an untraced run of the same program report identical simulated

@@ -23,7 +23,7 @@
 //   --no-libc             do not link the guest libc/prelude
 //
 // Exit status: 0 on a traced run, 64 on usage errors, 65 on assembly
-// errors, 66 on unreadable files, 69 if tracing is compiled out.
+// errors, 66 on unreadable files.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -160,11 +160,6 @@ int main(int argc, char** argv) {
   cfg.trace_ring_capacity = ring;
   kernel::Kernel k(cfg);
   k.set_engine(std::move(eng));
-  if (k.trace_sink() == nullptr) {
-    std::fprintf(stderr,
-                 "smtrace: tracing compiled out (build with -DSM_TRACE=ON)\n");
-    return 69;
-  }
 
   try {
     const auto program =
