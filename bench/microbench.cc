@@ -210,11 +210,14 @@ void BM_FetchFastPath(benchmark::State& state) {
   arch::PageTable pt(pm, root);
   pt.set(0x1000, Pte::make(pm.alloc_frame(), Pte::kPresent | Pte::kUser));
   mmu.set_cr3(root);
-  mmu.fetch8(0x1000);  // warm the I-TLB and the memo
+  arch::u8 byte = 0;
+  (void)mmu.fetch8(0x1000, byte);  // warm the I-TLB and the memo
   arch::u32 off = 0;
+  arch::u64 pa = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        mmu.translate(0x1000 + off, arch::Access::kFetch));
+        mmu.translate(0x1000 + off, arch::Access::kFetch, pa));
+    benchmark::DoNotOptimize(pa);
     off = (off + 1) & arch::kPageMask;
   }
 }
@@ -236,14 +239,18 @@ void BM_DataMemo(benchmark::State& state) {
   pt.set(0x1000, Pte::make(pm.alloc_frame(),
                            Pte::kPresent | Pte::kUser | Pte::kWritable));
   mmu.set_cr3(root);
-  mmu.read8(0x1000);      // warm the D-TLB and the read memo
-  mmu.write8(0x1000, 0);  // warm the write memo
+  arch::u8 byte = 0;
+  (void)mmu.read8(0x1000, byte);  // warm the D-TLB and the read memo
+  (void)mmu.write8(0x1000, 0);    // warm the write memo
   arch::u32 off = 0;
+  arch::u64 pa = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        mmu.translate(0x1000 + off, arch::Access::kRead));
+        mmu.translate(0x1000 + off, arch::Access::kRead, pa));
+    benchmark::DoNotOptimize(pa);
     benchmark::DoNotOptimize(
-        mmu.translate(0x1000 + off, arch::Access::kWrite));
+        mmu.translate(0x1000 + off, arch::Access::kWrite, pa));
+    benchmark::DoNotOptimize(pa);
     off = (off + 1) & arch::kPageMask;
   }
   state.counters["data_fastpath_hit_rate"] =

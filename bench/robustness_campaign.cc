@@ -19,7 +19,8 @@
 // holds: --jobs=N stdout is byte-identical to --jobs=1.
 //
 // Schedule count: 500 (the acceptance bar), 60 with --quick; the
-// SM_CAMPAIGN_SCHEDULES environment variable overrides both (CI uses 200).
+// SM_CAMPAIGN_SCHEDULES environment variable overrides both (CI runs the
+// full 500, at 1 and at 4 cores).
 #include <cstdio>
 #include <cstdlib>
 #include <map>

@@ -10,7 +10,9 @@ BlockCache::BlockCache(u32 num_entries)
 }
 
 void BlockCache::clear() {
-  for (Block& b : entries_) b = Block{};
+  // Only the key: every probe compares pa first, and recording writes every
+  // field a later run reads.
+  for (Block& b : entries_) b.pa = kInvalidPa;
 }
 
 }  // namespace sm::arch

@@ -43,10 +43,10 @@ bool writes_memory(Op op) {
   }
 }
 
-// Instructions whose execute() can throw (memory access -> page fault,
-// divide -> #DE). Register-only instructions cannot fault once decoded
-// (operands were validated at decode time), so the block runner skips
-// their rollback snapshot.
+// Instructions whose execute() can return a fault (memory access -> page
+// fault, divide -> #DE). Register-only instructions cannot fault once
+// decoded (operands were validated at decode time), so the block runner
+// skips their rollback snapshot.
 bool may_fault(Op op) {
   switch (op) {
     case Op::kLoad:
@@ -66,22 +66,33 @@ bool may_fault(Op op) {
   }
 }
 
-}  // namespace
-
-void Cpu::check_reg(u8 r) const {
-  if (r >= kNumRegs) {
-    throw TrapException(Trap::simple(TrapKind::kGeneralProtection));
-  }
+// kSyscall is the one trap an instruction raises by completing. Every other
+// trap fetch_decode() or execute() returns is a fault: the instruction is
+// rolled back and retires nothing.
+bool is_fault(const std::optional<Trap>& t) {
+  return t && t->kind != TrapKind::kSyscall;
 }
 
-Decoded Cpu::fetch_decode() {
+// A register operand outside r0-r7 is a #GP at decode time.
+[[nodiscard]] std::optional<Trap> check_reg(u8 r) {
+  if (r >= kNumRegs) return Trap::simple(TrapKind::kGeneralProtection);
+  return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<Trap> Cpu::fetch_decode(Decoded& d) {
   // One real translation for the first byte: bills the I-TLB hit/miss (and
   // any walk or fault) exactly as the byte-at-a-time path's first fetch
   // would, and yields the physical key for the decode cache.
-  return fetch_decode_at(mmu_->translate(regs_.pc, Access::kFetch));
+  u64 pa = 0;
+  if (const MemFault f = mmu_->translate(regs_.pc, Access::kFetch, pa)) {
+    return Trap::page_fault(*f);
+  }
+  return fetch_decode_at(pa, d);
 }
 
-Decoded Cpu::fetch_decode_at(u64 pa) {
+std::optional<Trap> Cpu::fetch_decode_at(u64 pa, Decoded& out) {
   const u32 pc = regs_.pc;
   PhysicalMemory& pm = mmu_->phys();
   const u64 gen = pm.generation(static_cast<u32>(pa >> kPageShift));
@@ -101,7 +112,8 @@ Decoded Cpu::fetch_decode_at(u64 pa) {
       mmu_->itlb().touch_last(extra);
       SM_TRACE(trace_,
                charge(trace::Category::kTlbHit, extra * cost_->tlb_hit, pc));
-      return slot->d;
+      out = slot->d;
+      return std::nullopt;
     }
     // Same physical location, stale frame generation: the code frame was
     // rewritten (self-modifying code, exec, forensic injection, frame
@@ -112,11 +124,13 @@ Decoded Cpu::fetch_decode_at(u64 pa) {
 
   const u8 opcode = pm.read8(pa);
   const u32 len = instr_length(opcode);
-  if (len == 0) {
-    throw TrapException(Trap::invalid_opcode(opcode));
-  }
+  if (len == 0) return Trap::invalid_opcode(opcode);
   u8 bytes[kMaxInstrLength] = {opcode};
-  for (u32 i = 1; i < len; ++i) bytes[i] = mmu_->fetch8(pc + i);
+  for (u32 i = 1; i < len; ++i) {
+    if (const MemFault f = mmu_->fetch8(pc + i, bytes[i])) {
+      return Trap::page_fault(*f);
+    }
+  }
 
   Decoded d;
   d.op = static_cast<Op>(opcode);
@@ -182,7 +196,7 @@ Decoded Cpu::fetch_decode_at(u64 pa) {
   if (d.len >= 2 && d.op != Op::kJmp && d.op != Op::kJz && d.op != Op::kJnz &&
       d.op != Op::kJlt && d.op != Op::kJge && d.op != Op::kJb &&
       d.op != Op::kJae && d.op != Op::kCall) {
-    check_reg(d.ra);
+    if (auto gp = check_reg(d.ra)) return gp;
   }
   switch (d.op) {
     case Op::kMov:
@@ -201,7 +215,7 @@ Decoded Cpu::fetch_decode_at(u64 pa) {
     case Op::kStore:
     case Op::kLoadb:
     case Op::kStoreb:
-      check_reg(d.rb);
+      if (auto gp = check_reg(d.rb)) return gp;
       break;
     default:
       break;
@@ -214,19 +228,21 @@ Decoded Cpu::fetch_decode_at(u64 pa) {
     slot->gen = gen;
     slot->d = d;
   }
-  return d;
+  out = d;
+  return std::nullopt;
 }
 
-void Cpu::push(u32 v) {
+MemFault Cpu::push(u32 v) {
   const u32 nsp = regs_.sp() - 4;
-  mmu_->write32(nsp, v);
+  if (MemFault f = mmu_->write32(nsp, v)) return f;
   regs_.sp() = nsp;
+  return std::nullopt;
 }
 
-u32 Cpu::pop() {
-  const u32 v = mmu_->read32(regs_.sp());
+MemFault Cpu::pop(u32& v) {
+  if (MemFault f = mmu_->read32(regs_.sp(), v)) return f;
   regs_.sp() += 4;
-  return v;
+  return std::nullopt;
 }
 
 std::optional<Trap> Cpu::step() {
@@ -236,20 +252,20 @@ std::optional<Trap> Cpu::step() {
   // Deliberately not mirrored to the trace profiler: a per-step mirror
   // would put a trace branch on the hottest path in the simulator.
   // TraceSink::summary() reconciles these cycles as the exec residual.
-  try {
-    const Decoded d = fetch_decode();
-    auto trap = execute(d);
-    ++stats_->instructions;
-    if (trap) return trap;  // kSyscall: pc already advanced
-    if (tf_at_start) {
-      ++stats_->single_steps;
-      return Trap::simple(TrapKind::kDebugStep);
-    }
-    return std::nullopt;
-  } catch (const TrapException& e) {
+  Decoded d;
+  std::optional<Trap> trap = fetch_decode(d);
+  if (!trap) trap = execute(d);
+  if (is_fault(trap)) {
     regs_ = snapshot;  // faults restore architectural state for restart
-    return e.trap();
+    return trap;
   }
+  ++stats_->instructions;
+  if (trap) return trap;  // kSyscall: pc already advanced
+  if (tf_at_start) {
+    ++stats_->single_steps;
+    return Trap::simple(TrapKind::kDebugStep);
+  }
+  return std::nullopt;
 }
 
 Cpu::BlockStep Cpu::step_block(u64 max_attempts, u64 cycle_stop) {
@@ -269,15 +285,13 @@ Cpu::BlockStep Cpu::step_block(u64 max_attempts, u64 cycle_stop) {
     // exactly as step() -> fetch_decode() would bill them. The
     // translation also yields the physical key for the block-cache probe.
     stats_->cycles += cost_->cycles_per_instr;
-    u64 pa;
-    try {
-      pa = mmu_->translate(regs_.pc, Access::kFetch);
-    } catch (const TrapException& e) {
+    u64 pa = 0;
+    if (const MemFault f = mmu_->translate(regs_.pc, Access::kFetch, pa)) {
       // translate() mutates no architectural state, so there is nothing
       // to roll back: report the fetch fault as one attempted
       // instruction.
       ++out.attempts;
-      out.trap = e.trap();
+      out.trap = Trap::page_fault(*f);
       return out;
     }
     const u64 gen =
@@ -338,56 +352,49 @@ Cpu::BlockStep Cpu::step_block(u64 max_attempts, u64 cycle_stop) {
     // the I-TLB, so one wholesale advance at exit is exact.
     mmu_->itlb().touch_last(hits);
   };
-  // The try sits OUTSIDE the loop so the hot path carries no per-iteration
-  // exception-handling boundary; a throw aborts the block at the faulting
-  // instruction, whose snapshot (taken just before its execute) is the one
-  // restored — identical to a per-instruction try.
-  try {
-    // i == 0 is exempt from the cycle bound: step_block already billed its
-    // issue cycle (the caller's bound check happened before that), so the
-    // per-instruction engine would have executed it too.
-    for (u32 i = 0; i < b.count && out.attempts < budget &&
-                    !(i > 0 && cycle_stop != 0 && stats_->cycles >= cycle_stop);
-         ++i) {
-      ++out.attempts;
-      const u32 pc = regs_.pc;
-      const Decoded& d = b.instr[i];
-      if (i == 0) {
-        hits += d.len - 1;
-        stats_->cycles += (d.len - 1) * cost_->tlb_hit;
-      } else {
-        hits += d.len;
-        stats_->cycles += cost_->cycles_per_instr + d.len * cost_->tlb_hit;
-      }
-      SM_TRACE(trace_, charge(trace::Category::kTlbHit,
-                              (d.len - 1) * cost_->tlb_hit, pc));
-      if (may_fault(d.op)) snapshot = regs_;  // only faultable ops roll back
-      auto trap = execute(d);
-      ++retired;
-      if (trap) {  // kSyscall: pc already advanced, kernel services it
-        out.trap = trap;
-        flush();
-        return out;
-      }
-      // Same-page SMC guard: a store that reached this block's own code
-      // frame makes the remaining decodes stale. Kill the block and exit;
-      // the next entry probe re-records from the current bytes — which is
-      // exactly where the per-instruction engine's decode-cache generation
-      // check would have picked up.
-      if (i + 1 < b.count && writes_memory(d.op) &&
-          pm.generation(b.pfn) != b.gen) {
-        ++stats_->block_cache_invalidations;
-        SM_TRACE(trace_,
-                 record(trace::EventKind::kBlockInvalidate, regs_.pc, b.pfn));
-        b.pa = BlockCache::kInvalidPa;
-        break;
-      }
+  // i == 0 is exempt from the cycle bound: step_block already billed its
+  // issue cycle (the caller's bound check happened before that), so the
+  // per-instruction engine would have executed it too.
+  for (u32 i = 0; i < b.count && out.attempts < budget &&
+                  !(i > 0 && cycle_stop != 0 && stats_->cycles >= cycle_stop);
+       ++i) {
+    ++out.attempts;
+    const u32 pc = regs_.pc;
+    const Decoded& d = b.instr[i];
+    if (i == 0) {
+      hits += d.len - 1;
+      stats_->cycles += (d.len - 1) * cost_->tlb_hit;
+    } else {
+      hits += d.len;
+      stats_->cycles += cost_->cycles_per_instr + d.len * cost_->tlb_hit;
     }
-  } catch (const TrapException& e) {
-    regs_ = snapshot;  // per-instruction restart semantics, unchanged
-    out.trap = e.trap();
-    flush();
-    return out;
+    SM_TRACE(trace_, charge(trace::Category::kTlbHit,
+                            (d.len - 1) * cost_->tlb_hit, pc));
+    if (may_fault(d.op)) snapshot = regs_;  // only faultable ops roll back
+    const std::optional<Trap> trap = execute(d);
+    if (trap) {
+      if (is_fault(trap)) {
+        regs_ = snapshot;  // per-instruction restart semantics
+      } else {
+        ++retired;  // kSyscall: pc already advanced, kernel services it
+      }
+      out.trap = trap;
+      break;
+    }
+    ++retired;
+    // Same-page SMC guard: a store that reached this block's own code
+    // frame makes the remaining decodes stale. Kill the block and exit;
+    // the next entry probe re-records from the current bytes — which is
+    // exactly where the per-instruction engine's decode-cache generation
+    // check would have picked up.
+    if (i + 1 < b.count && writes_memory(d.op) &&
+        pm.generation(b.pfn) != b.gen) {
+      ++stats_->block_cache_invalidations;
+      SM_TRACE(trace_,
+               record(trace::EventKind::kBlockInvalidate, regs_.pc, b.pfn));
+      b.pa = BlockCache::kInvalidPa;
+      break;
+    }
   }
   flush();
   return out;
@@ -416,23 +423,22 @@ Cpu::BlockStep Cpu::record_block(BlockCache::Block& b, u64 entry_pa,
     const u32 pc = regs_.pc;
     Decoded d;
     std::optional<Trap> trap;
-    try {
-      if (out.attempts == 1) {
-        // step_block already billed the issue cycle and translated pc.
-        d = fetch_decode_at(entry_pa);
-      } else {
-        stats_->cycles += cost_->cycles_per_instr;
-        d = fetch_decode();
-      }
-      trap = execute(d);
-      ++stats_->instructions;
-    } catch (const TrapException& e) {
+    if (out.attempts == 1) {
+      // step_block already billed the issue cycle and translated pc.
+      trap = fetch_decode_at(entry_pa, d);
+    } else {
+      stats_->cycles += cost_->cycles_per_instr;
+      trap = fetch_decode(d);
+    }
+    if (!trap) trap = execute(d);
+    if (is_fault(trap)) {
       regs_ = snapshot;
-      out.trap = e.trap();
+      out.trap = trap;
       // A faulting tail is not recorded: the kernel fixes the cause and
       // the retry re-records from whatever pc resumes at.
       return out;
     }
+    ++stats_->instructions;
     // A straddling instruction's tail bytes live in a frame the entry
     // generation cannot cover — never record it; end the block before it.
     const bool straddles = page_offset(pc) + d.len > kPageSize;
@@ -486,17 +492,32 @@ std::optional<Trap> Cpu::execute(const Decoded& d) {
     case Op::kMov:
       r[d.ra] = r[d.rb];
       break;
-    case Op::kLoad:
-      r[d.ra] = mmu_->read32(r[d.rb] + d.imm);
+    case Op::kLoad: {
+      u32 v = 0;
+      if (const MemFault f = mmu_->read32(r[d.rb] + d.imm, v)) {
+        return Trap::page_fault(*f);
+      }
+      r[d.ra] = v;
       break;
+    }
     case Op::kStore:
-      mmu_->write32(r[d.ra] + d.imm, r[d.rb]);
+      if (const MemFault f = mmu_->write32(r[d.ra] + d.imm, r[d.rb])) {
+        return Trap::page_fault(*f);
+      }
       break;
-    case Op::kLoadb:
-      r[d.ra] = mmu_->read8(r[d.rb] + d.imm);
+    case Op::kLoadb: {
+      u8 v = 0;
+      if (const MemFault f = mmu_->read8(r[d.rb] + d.imm, v)) {
+        return Trap::page_fault(*f);
+      }
+      r[d.ra] = v;
       break;
+    }
     case Op::kStoreb:
-      mmu_->write8(r[d.ra] + d.imm, static_cast<u8>(r[d.rb]));
+      if (const MemFault f =
+              mmu_->write8(r[d.ra] + d.imm, static_cast<u8>(r[d.rb]))) {
+        return Trap::page_fault(*f);
+      }
       break;
     case Op::kAdd:
       r[d.ra] += r[d.rb];
@@ -508,15 +529,11 @@ std::optional<Trap> Cpu::execute(const Decoded& d) {
       r[d.ra] *= r[d.rb];
       break;
     case Op::kDiv:
-      if (r[d.rb] == 0) {
-        throw TrapException(Trap::simple(TrapKind::kDivideByZero));
-      }
+      if (r[d.rb] == 0) return Trap::simple(TrapKind::kDivideByZero);
       r[d.ra] /= r[d.rb];
       break;
     case Op::kModu:
-      if (r[d.rb] == 0) {
-        throw TrapException(Trap::simple(TrapKind::kDivideByZero));
-      }
+      if (r[d.rb] == 0) return Trap::simple(TrapKind::kDivideByZero);
       r[d.ra] %= r[d.rb];
       break;
     case Op::kAnd:
@@ -571,22 +588,30 @@ std::optional<Trap> Cpu::execute(const Decoded& d) {
       R.pc = r[d.ra];
       return std::nullopt;
     case Op::kCall:
-      push(next);
+      if (const MemFault f = push(next)) return Trap::page_fault(*f);
       R.pc = d.imm;
       return std::nullopt;
     case Op::kCallr:
-      push(next);
+      if (const MemFault f = push(next)) return Trap::page_fault(*f);
       R.pc = r[d.ra];
       return std::nullopt;
-    case Op::kRet:
-      R.pc = pop();
+    case Op::kRet: {
+      u32 target = 0;
+      if (const MemFault f = pop(target)) return Trap::page_fault(*f);
+      R.pc = target;
       return std::nullopt;
+    }
     case Op::kPush:
-      push(r[d.ra]);
+      if (const MemFault f = push(r[d.ra])) return Trap::page_fault(*f);
       break;
-    case Op::kPop:
-      r[d.ra] = pop();
+    case Op::kPop: {
+      // Into a temporary first: `pop sp` must end with the popped value in
+      // sp, not the value plus pop's increment.
+      u32 v = 0;
+      if (const MemFault f = pop(v)) return Trap::page_fault(*f);
+      r[d.ra] = v;
       break;
+    }
     case Op::kSyscall:
       R.pc = next;
       return Trap::simple(TrapKind::kSyscall);

@@ -5,7 +5,9 @@
 // the kernel must service); on a fault (page fault, #UD, #DE, #GP) it
 // returns the trap with ALL architectural state rolled back, so the kernel
 // can fix the cause and simply resume — the restart semantics Algorithm 1
-// depends on ("return; /* restart the faulting instruction */").
+// depends on ("return; /* restart the faulting instruction */"). Faults
+// travel as return values from the MMU up: every function below that can
+// raise one returns it, and its caller rolls back and passes it on.
 //
 // Trap-flag semantics follow x86: if TF is set when an instruction begins
 // and the instruction completes (does not fault), a kDebugStep trap is
@@ -104,21 +106,23 @@ class Cpu {
 
  private:
   // Fetches the instruction bytes at pc through the I-TLB path, consulting
-  // the decode cache first. Simulated costs are billed identically on hit
-  // and miss. Throws TrapException on fetch faults or #UD.
-  Decoded fetch_decode();
+  // the decode cache first, into `d`. Simulated costs are billed
+  // identically on hit and miss. Returns a fetch page fault, #UD or #GP.
+  [[nodiscard]] std::optional<Trap> fetch_decode(Decoded& d);
   // The tail of fetch_decode() once the entry byte's translation is known:
   // decode-cache probe, byte-at-a-time decode, validation, memoization.
-  Decoded fetch_decode_at(u64 pa);
-  std::optional<Trap> execute(const Decoded& d);
+  [[nodiscard]] std::optional<Trap> fetch_decode_at(u64 pa, Decoded& d);
+  // Executes a decoded instruction. Returns kSyscall for an instruction
+  // that completed, or the fault (page fault, #DE) that stopped it before
+  // it changed any register.
+  [[nodiscard]] std::optional<Trap> execute(const Decoded& d);
 
   BlockStep run_block(BlockCache::Block& b, u64 budget, u64 cycle_stop);
   BlockStep record_block(BlockCache::Block& b, u64 entry_pa, u64 entry_gen,
                          u64 budget, u64 cycle_stop);
 
-  u32 pop();
-  void push(u32 v);
-  void check_reg(u8 r) const;
+  [[nodiscard]] MemFault pop(u32& v);
+  [[nodiscard]] MemFault push(u32 v);
 
   Mmu* mmu_;
   metrics::Stats* stats_;

@@ -73,8 +73,10 @@ class DecodeCache {
     return entries_[static_cast<u32>(pa ^ (pa >> kPageShift)) & mask_];
   }
 
+  // Drops every entry by its key alone: a probe compares pa before it
+  // reads anything else, and a fill writes every field.
   void clear() {
-    for (Entry& e : entries_) e = Entry{};
+    for (Entry& e : entries_) e.pa = kInvalidPa;
   }
 
   u32 capacity() const { return static_cast<u32>(entries_.size()); }

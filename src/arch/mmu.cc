@@ -42,7 +42,7 @@ void Mmu::invlpg(u32 vaddr) {
   SM_TRACE(trace_, record(trace::EventKind::kTlbInvlpg, vaddr));
 }
 
-void Mmu::fault(u32 vaddr, Access acc, bool present, bool soft_miss) {
+PageFaultInfo Mmu::fault(u32 vaddr, Access acc, bool present, bool soft_miss) {
   PageFaultInfo info;
   info.addr = vaddr;
   info.present = present;
@@ -50,10 +50,10 @@ void Mmu::fault(u32 vaddr, Access acc, bool present, bool soft_miss) {
   info.user = true;
   info.fetch = acc == Access::kFetch;
   info.soft_miss = soft_miss;
-  throw TrapException(Trap::page_fault(info));
+  return info;
 }
 
-u64 Mmu::translate(u32 vaddr, Access acc) {
+MemFault Mmu::translate(u32 vaddr, Access acc, u64& pa) {
   const bool is_fetch = acc == Access::kFetch;
   Tlb& tlb = is_fetch ? itlb_ : dtlb_;
   const u32 vpn = vpn_of(vaddr);
@@ -68,9 +68,10 @@ u64 Mmu::translate(u32 vaddr, Access acc) {
     ++stats_->fetch_fastpath_hits;
     stats_->cycles += cost_->tlb_hit;
     itlb_.touch(fetch_memo_.entry_index);
-    if (!fetch_memo_.user) fault(vaddr, acc, /*present=*/true);
-    if (fetch_memo_.no_exec) fault(vaddr, acc, /*present=*/true);
-    return finish(vaddr, fetch_memo_.pfn);
+    if (!fetch_memo_.user) return fault(vaddr, acc, /*present=*/true);
+    if (fetch_memo_.no_exec) return fault(vaddr, acc, /*present=*/true);
+    pa = finish(vaddr, fetch_memo_.pfn);
+    return std::nullopt;
   }
 
   if (!is_fetch && data_memo_enabled_) {
@@ -84,9 +85,10 @@ u64 Mmu::translate(u32 vaddr, Access acc) {
       ++stats_->data_fastpath_hits;
       stats_->cycles += cost_->tlb_hit;
       if (!inject_memo_lru_bug_) dtlb_.touch(m.entry_index);
-      if (!m.user) fault(vaddr, acc, /*present=*/true);
-      if (acc == Access::kWrite && !m.writable) fault(vaddr, acc, true);
-      return finish(vaddr, m.pfn);
+      if (!m.user) return fault(vaddr, acc, /*present=*/true);
+      if (acc == Access::kWrite && !m.writable) return fault(vaddr, acc, true);
+      pa = finish(vaddr, m.pfn);
+      return std::nullopt;
     }
   }
 
@@ -99,9 +101,9 @@ u64 Mmu::translate(u32 vaddr, Access acc) {
       ++stats_->dtlb_hits;
     }
     stats_->cycles += cost_->tlb_hit;
-    if (!e->user) fault(vaddr, acc, /*present=*/true);
-    if (acc == Access::kWrite && !e->writable) fault(vaddr, acc, true);
-    if (is_fetch && e->no_exec) fault(vaddr, acc, true);
+    if (!e->user) return fault(vaddr, acc, /*present=*/true);
+    if (acc == Access::kWrite && !e->writable) return fault(vaddr, acc, true);
+    if (is_fetch && e->no_exec) return fault(vaddr, acc, true);
     if (is_fetch) {
       // Memoize for the next fetch (only after every check passed).
       fetch_memo_.vpn = vpn;
@@ -123,7 +125,8 @@ u64 Mmu::translate(u32 vaddr, Access acc) {
       m.writable = e->writable;
       m.valid = true;
     }
-    return finish(vaddr, e->pfn);
+    pa = finish(vaddr, e->pfn);
+    return std::nullopt;
   }
 
   // Miss.
@@ -134,16 +137,18 @@ u64 Mmu::translate(u32 vaddr, Access acc) {
   }
   if (software_tlb_) {
     // SPARC-style: no hardware walker — trap to the OS TLB-fill handler.
-    fault(vaddr, acc, /*present=*/false, /*soft_miss=*/true);
+    return fault(vaddr, acc, /*present=*/false, /*soft_miss=*/true);
   }
   stats_->cycles += cost_->tlb_walk;
   SM_TRACE(trace_, charge(trace::Category::kTlbWalk, cost_->tlb_walk, vaddr));
   PageTable pt(*pm_, cr3_);
   const auto pte = pt.walk(vaddr, stats_);
-  if (!pte) fault(vaddr, acc, /*present=*/false);
-  if (!pte->user()) fault(vaddr, acc, /*present=*/true);
-  if (acc == Access::kWrite && !pte->writable()) fault(vaddr, acc, true);
-  if (is_fetch && pte->no_exec()) fault(vaddr, acc, true);
+  if (!pte) return fault(vaddr, acc, /*present=*/false);
+  if (!pte->user()) return fault(vaddr, acc, /*present=*/true);
+  if (acc == Access::kWrite && !pte->writable()) {
+    return fault(vaddr, acc, true);
+  }
+  if (is_fetch && pte->no_exec()) return fault(vaddr, acc, true);
 
   // Fill the requesting TLB only; set accessed/dirty like hardware.
   Pte updated = *pte;
@@ -166,41 +171,50 @@ u64 Mmu::translate(u32 vaddr, Access acc) {
   }
   SM_TRACE(trace_,
            record(trace::EventKind::kTlbFill, vaddr, pte->pfn(), side));
-  return finish(vaddr, pte->pfn());
+  pa = finish(vaddr, pte->pfn());
+  return std::nullopt;
 }
 
-u32 Mmu::read32(u32 va) {
+MemFault Mmu::read32(u32 va, u32& out) {
+  u64 pa0 = 0;
+  if (MemFault f = translate(va, Access::kRead, pa0)) return f;
   // Contained in one page (the common case): a single translation covers
   // all four bytes.
   if (page_offset(va) <= kPageSize - 4) {
-    return pm_->read32(translate(va, Access::kRead));
+    out = pm_->read32(pa0);
+    return std::nullopt;
   }
   // Page-straddling access: one translation per page — as the hardware
   // would do — rather than one per byte.
   const u32 first_len = kPageSize - page_offset(va);
-  const u64 pa0 = translate(va, Access::kRead);
-  const u64 pa1 = translate(va + first_len, Access::kRead);
+  u64 pa1 = 0;
+  if (MemFault f = translate(va + first_len, Access::kRead, pa1)) return f;
   u32 v = 0;
   for (u32 i = 0; i < 4; ++i) {
     const u64 pa = i < first_len ? pa0 + i : pa1 + (i - first_len);
     v |= static_cast<u32>(pm_->read8(pa)) << (8 * i);
   }
-  return v;
+  out = v;
+  return std::nullopt;
 }
 
-void Mmu::write32(u32 va, u32 v) {
+MemFault Mmu::write32(u32 va, u32 v) {
+  u64 pa0 = 0;
+  if (MemFault f = translate(va, Access::kWrite, pa0)) return f;
   if (page_offset(va) <= kPageSize - 4) {
-    pm_->write32(translate(va, Access::kWrite), v);
-    return;
+    pm_->write32(pa0, v);
+    return std::nullopt;
   }
-  // Pre-translate both pages so a fault leaves memory untouched.
+  // Translate both pages before writing either, so a fault on the second
+  // leaves memory untouched.
   const u32 first_len = kPageSize - page_offset(va);
-  const u64 pa0 = translate(va, Access::kWrite);
-  const u64 pa1 = translate(va + first_len, Access::kWrite);
+  u64 pa1 = 0;
+  if (MemFault f = translate(va + first_len, Access::kWrite, pa1)) return f;
   for (u32 i = 0; i < 4; ++i) {
     const u64 pa = i < first_len ? pa0 + i : pa1 + (i - first_len);
     pm_->write8(pa, static_cast<u8>(v >> (8 * i)));
   }
+  return std::nullopt;
 }
 
 bool Mmu::fill_dtlb_via_walk(u32 vaddr) {

@@ -3,8 +3,8 @@
 //
 // User-mode translations are permission checked against the *cached* TLB
 // attributes on a hit and against the PTE on a miss, exactly as x86 does.
-// A permission failure or a missing mapping raises a page fault
-// (TrapException) carrying the CR2 address and the error-code bits.
+// A permission failure or a missing mapping is a page fault, returned as a
+// value (MemFault) carrying the CR2 address and the error-code bits.
 //
 // Kernel code accesses guest memory through the page-table view directly
 // (see kernel/guest_mem.h) and never perturbs the TLBs — except through
@@ -29,6 +29,8 @@
 // set_data_memo_enabled() for the billing-identity tests.
 #pragma once
 
+#include <optional>
+
 #include "arch/fault_hooks.h"
 #include "arch/page_table.h"
 #include "arch/phys_mem.h"
@@ -47,6 +49,11 @@ namespace sm::arch {
 
 enum class Access { kFetch, kRead, kWrite };
 
+// The page fault a user-mode access raised, or nullopt if it went through.
+// A faulting access has billed what it reached (TLB hit or miss, walk),
+// filled no TLB, and written no memory.
+using MemFault = std::optional<PageFaultInfo>;
+
 class Mmu {
  public:
   Mmu(PhysicalMemory& pm, metrics::Stats& stats,
@@ -60,16 +67,26 @@ class Mmu {
   u32 cr3() const { return cr3_; }
   PageTable pagetable() { return PageTable(*pm_, cr3_); }
 
-  // Translates a user-mode access, billing TLB/walk costs, or throws
-  // TrapException(page fault).
-  u64 translate(u32 vaddr, Access acc);
+  // Translates a user-mode access, billing TLB/walk costs, into `pa`; on
+  // a fault returns it and leaves `pa` alone.
+  [[nodiscard]] MemFault translate(u32 vaddr, Access acc, u64& pa);
 
   // --- user-mode accessors used by the CPU ------------------------------
-  u8 read8(u32 va) { return pm_->read8(translate(va, Access::kRead)); }
-  u32 read32(u32 va);
-  void write8(u32 va, u8 v) { pm_->write8(translate(va, Access::kWrite), v); }
-  void write32(u32 va, u32 v);
-  u8 fetch8(u32 va) { return pm_->read8(translate(va, Access::kFetch)); }
+  // Each stores what it read in `out` only when it returns no fault.
+  [[nodiscard]] MemFault read8(u32 va, u8& out) {
+    return load8(va, Access::kRead, out);
+  }
+  [[nodiscard]] MemFault read32(u32 va, u32& out);
+  [[nodiscard]] MemFault write8(u32 va, u8 v) {
+    u64 pa = 0;
+    if (MemFault f = translate(va, Access::kWrite, pa)) return f;
+    pm_->write8(pa, v);
+    return std::nullopt;
+  }
+  [[nodiscard]] MemFault write32(u32 va, u32 v);
+  [[nodiscard]] MemFault fetch8(u32 va, u8& out) {
+    return load8(va, Access::kFetch, out);
+  }
 
   // --- kernel-side TLB management ---------------------------------------
   // The split-memory D-TLB load: performs a hardware walk of the CURRENT
@@ -135,8 +152,14 @@ class Mmu {
  private:
   friend struct sm::snapshot::Access;
 
-  [[noreturn]] void fault(u32 vaddr, Access acc, bool present,
-                          bool soft_miss = false);
+  static PageFaultInfo fault(u32 vaddr, Access acc, bool present,
+                             bool soft_miss = false);
+  MemFault load8(u32 va, Access acc, u8& out) {
+    u64 pa = 0;
+    if (MemFault f = translate(va, acc, pa)) return f;
+    out = pm_->read8(pa);
+    return std::nullopt;
+  }
   u64 finish(u32 vaddr, u32 pfn) const {
     return static_cast<u64>(pfn) * kPageSize + page_offset(vaddr);
   }

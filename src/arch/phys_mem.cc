@@ -2,14 +2,16 @@
 
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 namespace sm::arch {
 
 PhysicalMemory::PhysicalMemory(u32 num_frames)
     : num_frames_(num_frames),
-      bytes_(static_cast<std::size_t>(num_frames) * kPageSize, 0),
+      bytes_(static_cast<u8*>(std::calloc(num_frames, kPageSize))),
       generations_(num_frames, 0),
       refcounts_(num_frames, 0) {
+  if (bytes_ == nullptr && num_frames != 0) throw std::bad_alloc{};
   free_list_.reserve(num_frames);
   // Hand out low frames first: push in reverse so pop_back yields frame 0.
   for (u32 i = 0; i < num_frames; ++i) {
@@ -18,7 +20,7 @@ PhysicalMemory::PhysicalMemory(u32 num_frames)
 }
 
 void PhysicalMemory::check_pa(u64 pa, u64 len) const {
-  if (pa + len > bytes_.size() || pa + len < pa) {
+  if (pa + len > static_cast<u64>(num_frames_) * kPageSize || pa + len < pa) {
     throw std::out_of_range("physical address out of range");
   }
 }

@@ -12,9 +12,16 @@
 // the generation it decoded under and treats a mismatch as an
 // invalidation, which is what keeps self-modifying code, forensics-mode
 // shellcode injection, and observe-mode page unsplitting bit-exact.
+//
+// The backing store comes from calloc. glibc serves a block above its mmap
+// threshold as fresh zero pages the host faults in on first touch, so a
+// large machine pays host memory only for the frames it uses; a smaller
+// block may be recycled from the heap and zeroed there.
 #pragma once
 
 #include <cstddef>
+#include <cstdlib>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -74,11 +81,15 @@ class PhysicalMemory {
  private:
   friend struct sm::snapshot::Access;
 
+  struct FreeBytes {
+    void operator()(u8* p) const { std::free(p); }
+  };
+
   void check_pa(u64 pa, u64 len) const;
   void bump_generation(u64 pa, u64 len);
 
   u32 num_frames_;
-  std::vector<u8> bytes_;
+  std::unique_ptr<u8[], FreeBytes> bytes_;  // num_frames_ * kPageSize
   std::vector<u64> generations_;
   std::vector<u32> refcounts_;
   std::vector<u32> free_list_;

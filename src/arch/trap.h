@@ -1,7 +1,6 @@
 // Trap (exception/interrupt) types raised by the simulated CPU.
 #pragma once
 
-#include <stdexcept>
 #include <string>
 
 #include "arch/types.h"
@@ -44,16 +43,6 @@ struct Trap {
     return Trap{TrapKind::kInvalidOpcode, {}, op};
   }
   static Trap simple(TrapKind k) { return Trap{k, {}, 0}; }
-};
-
-// Internal control-flow vehicle inside Cpu::step(); never escapes the CPU.
-class TrapException {
- public:
-  explicit TrapException(Trap t) : trap_(t) {}
-  const Trap& trap() const { return trap_; }
-
- private:
-  Trap trap_;
 };
 
 std::string to_string(TrapKind kind);

@@ -425,11 +425,14 @@ class Assembler {
     u32 off[3] = {0, 0, 0};
     auto cur = [&]() -> u32& { return off[static_cast<int>(section)]; };
 
+    // Bytes are emitted only in pass 2 and never in .bss, which has only
+    // a size.
+    auto out = [&]() -> std::vector<u8>* {
+      if (!emit || section == Section::kBss) return nullptr;
+      return section == Section::kText ? &text_ : &data_;
+    };
     auto put8 = [&](u8 v) {
-      if (emit && section != Section::kBss) {
-        auto& buf = section == Section::kText ? text_ : data_;
-        buf.push_back(v);
-      }
+      if (auto* buf = out()) buf->push_back(v);
       cur() += 1;
     };
     auto put32 = [&](u32 v) {
@@ -481,7 +484,9 @@ class Assembler {
           if (section == Section::kBss && fill != 0) {
             err(ln, ".space fill must be zero in .bss");
           }
-          for (u32 i = 0; i < n; ++i) put8(fill);
+          if (n > ~u32{0} - cur()) err(ln, ".space overflows the section");
+          if (auto* buf = out()) buf->insert(buf->end(), n, fill);
+          cur() += n;
         } else if (m == ".align") {
           if (line.operands.size() != 1) err(ln, ".align needs one operand");
           const u32 a = eval(ln, line.operands[0], emit);

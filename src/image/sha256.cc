@@ -3,17 +3,19 @@
 #include <cstring>
 #include <string>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include "image/sha256_internal.h"
+
+#if defined(SM_SHA256_NI)
 #include <immintrin.h>
 #endif
 
 namespace sm::image {
 
-namespace {
-
 using arch::u32;
 using arch::u64;
 using arch::u8;
+
+namespace {
 
 constexpr u32 kK[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
@@ -30,15 +32,62 @@ constexpr u32 kK[64] = {
 
 u32 rotr(u32 x, u32 n) { return (x >> n) | (x << (32 - n)); }
 
+}  // namespace
+
+namespace internal {
+
+void compress_scalar(u32* state, const u8* p, std::size_t blocks) {
+  for (; blocks > 0; --blocks, p += 64) {
+    u32 w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<u32>(p[4 * i]) << 24) |
+             (static_cast<u32>(p[4 * i + 1]) << 16) |
+             (static_cast<u32>(p[4 * i + 2]) << 8) |
+             static_cast<u32>(p[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const u32 s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const u32 s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    u32 a = state[0], b = state[1], c = state[2], d = state[3];
+    u32 e = state[4], f = state[5], g = state[6], hh = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const u32 s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const u32 ch = (e & f) ^ (~e & g);
+      const u32 t1 = hh + s1 + ch + kK[i] + w[i];
+      const u32 s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const u32 maj = (a & b) ^ (a & c) ^ (b & c);
+      const u32 t2 = s0 + maj;
+      hh = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += hh;
+  }
+}
+
 // x86 SHA extensions: four-round SHA256RNDS2 plus message-schedule helper
 // instructions. Compiled with a per-function target attribute and selected
 // at runtime via cpuid, so the binary still runs (scalar path) on CPUs and
 // compilers without them. This is the standard two-lane (ABEF/CDGH) state
 // layout from the Intel reference flow.
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define SM_SHA256_NI 1
-
-__attribute__((target("sha,sse4.1,ssse3"))) void compress_blocks_ni(
+#if defined(SM_SHA256_NI)
+__attribute__((target("sha,sse4.1,ssse3"))) void compress_ni(
     u32* state, const u8* data, std::size_t blocks) {
   const __m128i MASK =
       _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
@@ -246,54 +295,21 @@ bool cpu_has_sha_ni() {
 }
 #endif  // SM_SHA256_NI
 
-}  // namespace
+}  // namespace internal
 
-void Sha256::compress(const u8* p) {
+namespace {
+
+void compress(u32* state, const u8* p, std::size_t blocks) {
 #if defined(SM_SHA256_NI)
-  if (cpu_has_sha_ni()) {
-    compress_blocks_ni(h_, p, 1);
+  if (internal::cpu_has_sha_ni()) {
+    internal::compress_ni(state, p, blocks);
     return;
   }
 #endif
-  u32 w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<u32>(p[4 * i]) << 24) |
-           (static_cast<u32>(p[4 * i + 1]) << 16) |
-           (static_cast<u32>(p[4 * i + 2]) << 8) |
-           static_cast<u32>(p[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const u32 s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const u32 s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  u32 a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  u32 e = h_[4], f = h_[5], g = h_[6], hh = h_[7];
-  for (int i = 0; i < 64; ++i) {
-    const u32 s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const u32 ch = (e & f) ^ (~e & g);
-    const u32 t1 = hh + s1 + ch + kK[i] + w[i];
-    const u32 s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const u32 maj = (a & b) ^ (a & c) ^ (b & c);
-    const u32 t2 = s0 + maj;
-    hh = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-  h_[5] += f;
-  h_[6] += g;
-  h_[7] += hh;
+  internal::compress_scalar(state, p, blocks);
 }
+
+}  // namespace
 
 void Sha256::update(std::span<const u8> data) {
   total_len_ += data.size();
@@ -308,23 +324,14 @@ void Sha256::update(std::span<const u8> data) {
     p += take;
     n -= take;
     if (block_len_ == 64) {
-      compress(block_);
+      compress(h_, block_, 1);
       block_len_ = 0;
     }
   }
   if (const std::size_t blocks = n / 64; blocks > 0) {
-#if defined(SM_SHA256_NI)
-    if (cpu_has_sha_ni()) {
-      compress_blocks_ni(h_, p, blocks);
-      p += blocks * 64;
-      n -= blocks * 64;
-    }
-#endif
-    while (n >= 64) {
-      compress(p);
-      p += 64;
-      n -= 64;
-    }
+    compress(h_, p, blocks);
+    p += blocks * 64;
+    n -= blocks * 64;
   }
   if (n != 0) {
     std::memcpy(block_ + block_len_, p, n);

@@ -26,9 +26,6 @@ class Sha256 {
   Digest final();
 
  private:
-  // One 64-byte block, through SHA-NI when the CPU has it.
-  void compress(const arch::u8* p);
-
   arch::u32 h_[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
                      0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
   arch::u8 block_[64];

@@ -305,7 +305,7 @@ void Access::phys(Ar& ar, arch::PhysicalMemory& pm) {
       pm.refcounts_[pfn] = rc;
       pm.generations_[pfn] = gen;
       ar.bytes_into("data",
-                    std::span<u8>(pm.bytes_.data() +
+                    std::span<u8>(pm.bytes_.get() +
                                       static_cast<std::size_t>(pfn) * kPageSize,
                                   kPageSize));
       ar.end();
@@ -322,7 +322,7 @@ void Access::phys(Ar& ar, arch::PhysicalMemory& pm) {
       ar.value("refcount", pm.refcounts_[p]);
       ar.value("generation", pm.generations_[p]);
       ar.bytes("data", std::span<const u8>(
-                           pm.bytes_.data() +
+                           pm.bytes_.get() +
                                static_cast<std::size_t>(p) * kPageSize,
                            kPageSize));
       ar.end();

@@ -118,6 +118,54 @@ buf2: .space 28
   EXPECT_EQ(p.symbol("buf2"), p.layout.bss_base + 100);
 }
 
+TEST(Assembler, LargeBssSpaceOnlyAdvancesTheOffset) {
+  // The fuzz generator's .bss shape: page-sized reservations with labels
+  // after them. Nothing is emitted, only addresses and bss_size move.
+  const Program p = assemble(R"(
+_start: nop
+.bss
+heap:  .space 0x41000
+stack: .space 16384
+top:   .space 4
+)");
+  EXPECT_EQ(p.text.size(), 1u);
+  EXPECT_TRUE(p.data.empty());
+  EXPECT_EQ(p.symbol("heap"), p.layout.bss_base);
+  EXPECT_EQ(p.symbol("stack"), p.layout.bss_base + 0x41000);
+  EXPECT_EQ(p.symbol("top"), p.layout.bss_base + 0x41000 + 16384);
+  EXPECT_EQ(p.bss_size, 0x41000u + 16384 + 4);
+}
+
+TEST(Assembler, SpaceEmitsFillBytesInTextAndData) {
+  const Program p = assemble(R"(
+_start: nop
+pad:    .space 5000, 0x90
+after:  ret
+.data
+d:      .byte 7
+        .space 4097, 0xA5
+e:      .byte 8
+)");
+  ASSERT_EQ(p.text.size(), 1u + 5000 + 1);
+  EXPECT_EQ(p.text[1], 0x90);
+  EXPECT_EQ(p.text[5000], 0x90);
+  EXPECT_EQ(p.text[5001], 0x32);  // ret
+  EXPECT_EQ(p.symbol("after"), p.layout.text_base + 5001);
+  ASSERT_EQ(p.data.size(), 1u + 4097 + 1);
+  EXPECT_EQ(p.data[1], 0xA5);
+  EXPECT_EQ(p.data[4097], 0xA5);
+  EXPECT_EQ(p.data[4098], 8);
+  EXPECT_EQ(p.symbol("e"), p.layout.data_base + 4098);
+}
+
+TEST(Assembler, SpaceOverflowingTheSectionIsRejected) {
+  // 16 + 0xFFFFFFF0 wraps the 32-bit section offset to 0.
+  EXPECT_THROW(assemble(".bss\na: .space 16\nb: .space 0xFFFFFFF0\n"),
+               AsmError);
+  EXPECT_THROW(assemble(".bss\n.space 0xFFFFFFFF\n.space 1\n"), AsmError);
+  EXPECT_NO_THROW(assemble(".bss\n.space 0xFFFFFFFF\n"));
+}
+
 TEST(Assembler, EquConstantsAndExpressions) {
   const Program p = assemble(R"(
 .equ SIZE, 64

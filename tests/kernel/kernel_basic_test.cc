@@ -2,7 +2,11 @@
 // under both the unprotected baseline and full memory splitting (the
 // transparency requirement: a benign program must behave identically).
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <memory>
+
+#include "kernel/kernel.h"
 #include "support/guest_runner.h"
 
 namespace sm {
@@ -145,6 +149,27 @@ buf: .space 64
   r.k->run(10'000'000);
   EXPECT_TRUE(r.k->all_exited());
   EXPECT_EQ(r.chan->host_read_string(), "ping");
+}
+
+long minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
+TEST(KernelBasic, ConstructionTouchesOnlyTheRamItUses) {
+  // Simulated RAM (64 MiB by default) is zero-filled by the host on first
+  // touch, so building a machine faults in the frames it allocates and its
+  // host-side tables, not the whole RAM (16384 pages).
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "ASan writes the shadow of every allocation: a 64 MiB "
+                  "calloc alone faults in 8 MiB of shadow, 2048 pages";
+#endif
+  const long before = minor_faults();
+  const auto k = std::make_unique<kernel::Kernel>();
+  const long added = minor_faults() - before;
+  EXPECT_LT(added, 2048) << "minor faults while building a Kernel";
+  EXPECT_EQ(k->config().phys_frames, 16384u);
 }
 
 }  // namespace
