@@ -1,12 +1,15 @@
 // google-benchmark microbenchmarks of the simulator substrate's hot paths:
 // TLB lookup/insert, hardware page-table walks, single-instruction
-// execution, the split-memory fault protocol, SHA-256, and the assembler.
+// execution, the split-memory fault protocol, SHA-256, the assembler,
+// kernel construction and snapshot restore.
 // These measure HOST time (how fast the simulator itself runs), not
 // simulated cycles.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -14,6 +17,9 @@
 #include "arch/mmu.h"
 #include "asm/assembler.h"
 #include "core/split_engine.h"
+#include "fuzz/generator.h"
+#include "fuzz/oracle.h"
+#include "fuzz/rng.h"
 #include "guest/guestlib.h"
 #include "image/image.h"
 #include "image/sha256.h"
@@ -329,6 +335,50 @@ void BM_AssembleGuestLibc(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AssembleGuestLibc);
+
+// Kernel construction: the default 64 MiB machine, and the 8 MiB one the
+// snapshot battery and the fork-server workload build. glibc serves the
+// larger store as fresh zero pages; the smaller one may come back from the
+// heap and be zeroed there.
+void BM_KernelConstruct(benchmark::State& state) {
+  kernel::KernelConfig cfg;
+  cfg.phys_frames = static_cast<arch::u32>(state.range(0));
+  for (auto _ : state) {
+    kernel::Kernel k(cfg);
+    benchmark::DoNotOptimize(&k);
+  }
+}
+BENCHMARK(BM_KernelConstruct)
+    ->ArgName("frames")
+    ->Arg(kernel::KernelConfig{}.phys_frames)
+    ->Arg(2048);
+
+// An in-place restore of a fuzz case's snapshot, as the fork-server
+// workload does it: an 8 MiB split-break machine saved at 90% of the
+// case's run, restored into the kernel that saved it from a fresh
+// istringstream over the saved bytes.
+void BM_KernelRestore(benchmark::State& state) {
+  fuzz::GenOptions gen;
+  gen.min_actions = gen.max_actions = 48;
+  gen.allow_lethal = false;
+  const fuzz::FuzzCase c = fuzz::generate(fuzz::case_seed(1, 0), gen);
+  const fuzz::OracleConfig cfg{.label = "split-break",
+                               .mode = core::ProtectionMode::kSplitAll,
+                               .phys_frames = 2048};
+  const arch::u64 total = fuzz::run_case(c, cfg).instructions;
+  const auto k = fuzz::make_case_kernel(c, cfg);
+  k->run(total * 9 / 10);
+  std::ostringstream os;
+  k->save(os);
+  const std::string blob = os.str();
+  for (auto _ : state) {
+    std::istringstream is(blob);
+    k->restore(is);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(blob.size()));
+}
+BENCHMARK(BM_KernelRestore);
 
 }  // namespace
 

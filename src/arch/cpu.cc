@@ -43,32 +43,10 @@ bool writes_memory(Op op) {
   }
 }
 
-// Instructions whose execute() can return a fault (memory access -> page
-// fault, divide -> #DE). Register-only instructions cannot fault once
-// decoded (operands were validated at decode time), so the block runner
-// skips their rollback snapshot.
-bool may_fault(Op op) {
-  switch (op) {
-    case Op::kLoad:
-    case Op::kStore:
-    case Op::kLoadb:
-    case Op::kStoreb:
-    case Op::kPush:
-    case Op::kPop:
-    case Op::kCall:
-    case Op::kCallr:
-    case Op::kRet:
-    case Op::kDiv:
-    case Op::kModu:
-      return true;
-    default:
-      return false;
-  }
-}
-
 // kSyscall is the one trap an instruction raises by completing. Every other
-// trap fetch_decode() or execute() returns is a fault: the instruction is
-// rolled back and retires nothing.
+// trap fetch_decode() or execute() returns is a fault: neither writes a
+// register before it returns one, so the instruction leaves the registers
+// as they were and retires nothing.
 bool is_fault(const std::optional<Trap>& t) {
   return t && t->kind != TrapKind::kSyscall;
 }
@@ -246,7 +224,6 @@ MemFault Cpu::pop(u32& v) {
 }
 
 std::optional<Trap> Cpu::step() {
-  const Regs snapshot = regs_;
   const bool tf_at_start = regs_.tf();
   stats_->cycles += cost_->cycles_per_instr;
   // Deliberately not mirrored to the trace profiler: a per-step mirror
@@ -255,10 +232,7 @@ std::optional<Trap> Cpu::step() {
   Decoded d;
   std::optional<Trap> trap = fetch_decode(d);
   if (!trap) trap = execute(d);
-  if (is_fault(trap)) {
-    regs_ = snapshot;  // faults restore architectural state for restart
-    return trap;
-  }
+  if (is_fault(trap)) return trap;  // registers untouched: restartable
   ++stats_->instructions;
   if (trap) return trap;  // kSyscall: pc already advanced
   if (tf_at_start) {
@@ -287,9 +261,8 @@ Cpu::BlockStep Cpu::step_block(u64 max_attempts, u64 cycle_stop) {
     stats_->cycles += cost_->cycles_per_instr;
     u64 pa = 0;
     if (const MemFault f = mmu_->translate(regs_.pc, Access::kFetch, pa)) {
-      // translate() mutates no architectural state, so there is nothing
-      // to roll back: report the fetch fault as one attempted
-      // instruction.
+      // translate() mutates no architectural state: report the fetch
+      // fault as one attempted instruction.
       ++out.attempts;
       out.trap = Trap::page_fault(*f);
       return out;
@@ -340,7 +313,6 @@ Cpu::BlockStep Cpu::step_block(u64 max_attempts, u64 cycle_stop) {
   // the per-instruction engine would have stamped.
   BlockStep out;
   PhysicalMemory& pm = mmu_->phys();
-  Regs snapshot;
   u64 retired = 0;  // deferred stats_->instructions / block_instructions
   u64 hits = 0;     // deferred stats_->itlb_hits
   const auto flush = [&] {
@@ -370,14 +342,11 @@ Cpu::BlockStep Cpu::step_block(u64 max_attempts, u64 cycle_stop) {
     }
     SM_TRACE(trace_, charge(trace::Category::kTlbHit,
                             (d.len - 1) * cost_->tlb_hit, pc));
-    if (may_fault(d.op)) snapshot = regs_;  // only faultable ops roll back
     const std::optional<Trap> trap = execute(d);
     if (trap) {
-      if (is_fault(trap)) {
-        regs_ = snapshot;  // per-instruction restart semantics
-      } else {
-        ++retired;  // kSyscall: pc already advanced, kernel services it
-      }
+      // A fault left the registers untouched (per-instruction restart);
+      // kSyscall retired with pc advanced, and the kernel services it.
+      if (!is_fault(trap)) ++retired;
       out.trap = trap;
       break;
     }
@@ -404,8 +373,9 @@ Cpu::BlockStep Cpu::record_block(BlockCache::Block& b, u64 entry_pa,
                                  u64 entry_gen, u64 budget, u64 cycle_stop) {
   // Record while executing: every instruction below runs through the
   // normal per-instruction machinery (exact billing, decode-cache
-  // population, rollback-on-fault), so a recording pass is observationally
-  // identical to the interpreter — the block is a pure byproduct.
+  // population, faults that leave the registers untouched), so a
+  // recording pass is observationally identical to the interpreter — the
+  // block is a pure byproduct.
   BlockStep out;
   PhysicalMemory& pm = mmu_->phys();
   const u32 entry_pfn = static_cast<u32>(entry_pa >> kPageShift);
@@ -419,7 +389,6 @@ Cpu::BlockStep Cpu::record_block(BlockCache::Block& b, u64 entry_pa,
          !(out.attempts > 0 && cycle_stop != 0 &&
            stats_->cycles >= cycle_stop)) {
     ++out.attempts;
-    const Regs snapshot = regs_;
     const u32 pc = regs_.pc;
     Decoded d;
     std::optional<Trap> trap;
@@ -432,7 +401,6 @@ Cpu::BlockStep Cpu::record_block(BlockCache::Block& b, u64 entry_pa,
     }
     if (!trap) trap = execute(d);
     if (is_fault(trap)) {
-      regs_ = snapshot;
       out.trap = trap;
       // A faulting tail is not recorded: the kernel fixes the cause and
       // the retry re-records from whatever pc resumes at.

@@ -3,11 +3,12 @@
 // Cpu::step() executes exactly one user-mode instruction against the MMU.
 // On success it returns std::nullopt (or a kSyscall/kDebugStep trap that
 // the kernel must service); on a fault (page fault, #UD, #DE, #GP) it
-// returns the trap with ALL architectural state rolled back, so the kernel
+// returns the trap with ALL architectural state unchanged, so the kernel
 // can fix the cause and simply resume — the restart semantics Algorithm 1
 // depends on ("return; /* restart the faulting instruction */"). Faults
 // travel as return values from the MMU up: every function below that can
-// raise one returns it, and its caller rolls back and passes it on.
+// raise one returns it before it writes a register, so there is nothing
+// to roll back, and its caller passes it on.
 //
 // Trap-flag semantics follow x86: if TF is set when an instruction begins
 // and the instruction completes (does not fault), a kDebugStep trap is
@@ -72,8 +73,9 @@ class Cpu {
   // block engine: probe the block cache at the current PC's physical
   // address, run the cached block if its guards pass, otherwise record a
   // new block by executing per-instruction. Each executed instruction
-  // keeps step()'s exact contract (billing, rollback-on-fault, restart
-  // semantics); the caller must NOT use this while the trap flag is set —
+  // keeps step()'s exact contract (billing, registers untouched by a
+  // fault, restart semantics); the caller must NOT use this while the trap
+  // flag is set —
   // TF windows are per-instruction by definition and take the step() path.
   // A non-zero cycle_stop additionally ends the dispatch at the first
   // instruction boundary where the billed cycle clock has reached it —

@@ -493,7 +493,10 @@ class Assembler {
           if (a == 0 || (a & (a - 1)) != 0) {
             err(ln, ".align must be a power of two");
           }
-          while (cur() % a != 0) put8(0);
+          // The pad is computed once, so `.align 4096` costs one insert.
+          const u32 pad = (a - cur() % a) % a;
+          if (auto* buf = out()) buf->insert(buf->end(), pad, 0);
+          cur() += pad;
         } else if (m == ".equ") {
           if (line.operands.size() != 2) err(ln, ".equ needs name, value");
           if (!emit) {

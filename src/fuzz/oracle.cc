@@ -1,6 +1,7 @@
 #include "fuzz/oracle.h"
 
 #include <sstream>
+#include <utility>
 
 #include "asm/assembler.h"
 #include "guest/guestlib.h"
@@ -11,14 +12,6 @@
 namespace sm::fuzz {
 
 namespace {
-
-image::Image build(const FuzzCase& c) {
-  const auto program = assembler::assemble(guest::program(c.body));
-  image::BuildOptions opts;
-  opts.name = "fuzz";
-  opts.mixed_text = c.mixed_text;
-  return image::build_image(program, opts);
-}
 
 const char* run_result_name(kernel::Kernel::RunResult r) {
   switch (r) {
@@ -145,7 +138,20 @@ std::vector<OracleConfig> billing_configs() {
   return cfgs;
 }
 
+image::Image case_image(const FuzzCase& c) {
+  const auto program = assembler::assemble(guest::program(c.body));
+  image::BuildOptions opts;
+  opts.name = "fuzz";
+  opts.mixed_text = c.mixed_text;
+  return image::build_image(program, opts);
+}
+
 std::unique_ptr<kernel::Kernel> make_case_kernel(const FuzzCase& c,
+                                                 const OracleConfig& cfg) {
+  return make_case_kernel(case_image(c), cfg);
+}
+
+std::unique_ptr<kernel::Kernel> make_case_kernel(image::Image img,
                                                  const OracleConfig& cfg) {
   kernel::KernelConfig kc;
   kc.record_syscall_trace = true;
@@ -156,7 +162,7 @@ std::unique_ptr<kernel::Kernel> make_case_kernel(const FuzzCase& c,
   if (cfg.phys_frames != 0) kc.phys_frames = cfg.phys_frames;
   auto k = std::make_unique<kernel::Kernel>(kc);
   k->set_engine(core::make_engine(cfg.mode, cfg.response));
-  k->register_image(build(c));
+  k->register_image(std::move(img));
   k->spawn("fuzz");
   // Every core's MMU and CPU, not just the active pair: at cores > 1 the
   // processes run on all of them, so a fast path left on on any core
@@ -193,19 +199,28 @@ RunObservation observe(kernel::Kernel& k, kernel::Kernel::RunResult result) {
 
 RunObservation run_case(const FuzzCase& c, const OracleConfig& cfg,
                         u64 budget) {
-  const std::unique_ptr<kernel::Kernel> k = make_case_kernel(c, cfg);
+  return run_case(case_image(c), cfg, budget);
+}
+
+RunObservation run_case(image::Image img, const OracleConfig& cfg,
+                        u64 budget) {
+  const std::unique_ptr<kernel::Kernel> k =
+      make_case_kernel(std::move(img), cfg);
   return observe(*k, k->run(budget));
 }
 
-OracleVerdict check_robustness(const FuzzCase& c, const OracleOptions& opts) {
-  OracleVerdict v;
-  if (c.faults.empty()) return v;
+namespace {
 
+// The robustness clause over a prebuilt case_image(c), for a case that
+// carries a fault schedule.
+OracleVerdict robustness(const FuzzCase& c, const image::Image& img,
+                         const OracleOptions& opts) {
+  OracleVerdict v;
   kernel::KernelConfig kc;
   kernel::Kernel k(kc);
   k.set_engine(core::make_engine(core::ProtectionMode::kSplitAll,
                                  core::ResponseMode::kBreak));
-  k.register_image(build(c));
+  k.register_image(img);
   inject::FaultInjector injector(c.faults);
   invariant::InvariantWatchdog watchdog;
   injector.attach(k);
@@ -245,15 +260,25 @@ OracleVerdict check_robustness(const FuzzCase& c, const OracleOptions& opts) {
   return v;
 }
 
+}  // namespace
+
+OracleVerdict check_robustness(const FuzzCase& c, const OracleOptions& opts) {
+  if (c.faults.empty()) return {};
+  return robustness(c, case_image(c), opts);
+}
+
 OracleVerdict check_case(const FuzzCase& c, const OracleOptions& opts) {
   OracleVerdict v;
 
   if (opts.robustness_only) return check_robustness(c, opts);
+  // One image for every kernel below (19 configurations, plus the
+  // robustness clause's).
+  const image::Image img = case_image(c);
 
   // --- behavioural clause: every engine matches the unprotected run ------
   if (!opts.billing_only) {
     const std::vector<OracleConfig> cfgs = behavioral_configs();
-    RunObservation ref = run_case(c, cfgs.front(), opts.budget);
+    RunObservation ref = run_case(img, cfgs.front(), opts.budget);
     if (ref.result != kernel::Kernel::RunResult::kAllExited) {
       v.ok = false;
       v.divergence = std::string("reference run did not exit: ") +
@@ -261,7 +286,7 @@ OracleVerdict check_case(const FuzzCase& c, const OracleOptions& opts) {
       return v;
     }
     for (std::size_t i = 1; i < cfgs.size(); ++i) {
-      const RunObservation got = run_case(c, cfgs[i], opts.budget);
+      const RunObservation got = run_case(img, cfgs[i], opts.budget);
       const std::string d =
           diff_behavior(ref, cfgs.front().label, got, cfgs[i].label);
       if (!d.empty()) {
@@ -285,9 +310,9 @@ OracleVerdict check_case(const FuzzCase& c, const OracleOptions& opts) {
     // interleaves them as [baseline, no-memo, no-dcache, no-dbt, trace]
     // per engine.
     for (std::size_t base = 0; base + 4 < cfgs.size(); base += 5) {
-      const RunObservation ref = run_case(c, cfgs[base], opts.budget);
+      const RunObservation ref = run_case(img, cfgs[base], opts.budget);
       for (std::size_t i = base + 1; i < base + 5; ++i) {
-        const RunObservation got = run_case(c, cfgs[i], opts.budget);
+        const RunObservation got = run_case(img, cfgs[i], opts.budget);
         const std::string d =
             diff_billing(ref, cfgs[base].label, got, cfgs[i].label);
         if (!d.empty()) {
@@ -300,7 +325,7 @@ OracleVerdict check_case(const FuzzCase& c, const OracleOptions& opts) {
   }
 
   // --- robustness clause: the fault schedule degrades, never breaches ----
-  if (!c.faults.empty()) return check_robustness(c, opts);
+  if (!c.faults.empty()) return robustness(c, img, opts);
   return v;
 }
 

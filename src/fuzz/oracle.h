@@ -33,6 +33,7 @@
 
 #include "core/split_engine.h"
 #include "fuzz/generator.h"
+#include "image/image.h"
 #include "image/sha256.h"
 #include "kernel/kernel.h"
 #include "metrics/stats.h"
@@ -99,8 +100,19 @@ struct OracleVerdict {
   explicit operator bool() const { return ok; }
 };
 
+// The case's program, assembled and wrapped as the image every kernel of
+// the case runs. Throws asm::AsmError if the body does not assemble.
+// Assembly is most of a small case's set-up, so check_case and the
+// snapshot-replay checks build the image once per case and register a
+// copy of it in each kernel they build.
+image::Image case_image(const FuzzCase& c);
+
 // Builds the case's image, runs it under `cfg`, returns the observation.
+// The Image overload runs `img`, a case_image(): pass a copy of a prebuilt
+// one to share it.
 RunObservation run_case(const FuzzCase& c, const OracleConfig& cfg,
+                        u64 budget = 20'000'000);
+RunObservation run_case(image::Image img, const OracleConfig& cfg,
                         u64 budget = 20'000'000);
 
 // The pieces run_case() is made of, exposed for the snapshot-replay
@@ -110,8 +122,11 @@ RunObservation run_case(const FuzzCase& c, const OracleConfig& cfg,
 // make_case_kernel: a kernel with the case's image registered, the
 // engine installed, pid 1 spawned and the cfg's fast-path toggles
 // applied to every core — ready for run(). (Kernel is not movable;
-// heap-allocated.)
+// heap-allocated.) The Image overload registers `img`, a case_image():
+// pass a copy of a prebuilt one to share it.
 std::unique_ptr<kernel::Kernel> make_case_kernel(const FuzzCase& c,
+                                                 const OracleConfig& cfg);
+std::unique_ptr<kernel::Kernel> make_case_kernel(image::Image img,
                                                  const OracleConfig& cfg);
 // observe: extracts the full observation from a kernel that finished
 // running with `result`.

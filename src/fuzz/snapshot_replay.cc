@@ -39,21 +39,23 @@ ReplayVerdict check_replay_at(const FuzzCase& c, const OracleConfig& cfg,
     return v;
   }
 
-  const auto ref_k = make_case_kernel(c, cfg);
+  // One image for the three kernels.
+  const image::Image img = case_image(c);
+  const auto ref_k = make_case_kernel(img, cfg);
   const RunObservation ref = observe(*ref_k, ref_k->run(budget));
 
   // Re-run to the split point and checkpoint. run(P) then run(budget-P)
   // is observably identical to run(budget): budget exhaustion leaves
   // current_ scheduled mid-slice, and re-entry resumes stepping without
   // an extra wake sweep or reschedule.
-  const auto save_k = make_case_kernel(c, cfg);
+  const auto save_k = make_case_kernel(img, cfg);
   if (prefix > 0) save_k->run(prefix);
   std::ostringstream os;
   save_k->save(os);
 
   // Restore into a FRESH kernel (the battery's point: the snapshot alone
   // carries the state) and run the remaining budget.
-  const auto rest_k = make_case_kernel(c, cfg);
+  const auto rest_k = make_case_kernel(img, cfg);
   std::istringstream is(os.str());
   rest_k->restore(is);
   const RunResult res = rest_k->run(budget - prefix);
@@ -88,7 +90,11 @@ ForkServerResult run_fork_server_case(const FuzzCase& c,
                                       const ForkServerOptions& opts) {
   ForkServerResult r;
 
-  const auto ref_k = make_case_kernel(c, cfg);
+  // One image for the reference and the fork-server kernel. The timed
+  // re-run baseline below still builds from the case every iteration: it
+  // is what the reported (and CI-gated) fork-server speedup divides.
+  const image::Image img = case_image(c);
+  const auto ref_k = make_case_kernel(img, cfg);
   const RunObservation ref = observe(*ref_k, ref_k->run(opts.budget));
   r.total_instructions = ref.instructions;
   r.prefix_instructions =
@@ -98,7 +104,7 @@ ForkServerResult run_fork_server_case(const FuzzCase& c,
 
   // The fork-server kernel: runs the prefix ONCE, snapshots to memory,
   // and is reset in place for every iteration afterwards.
-  const auto k = make_case_kernel(c, cfg);
+  const auto k = make_case_kernel(img, cfg);
   if (r.prefix_instructions > 0) k->run(r.prefix_instructions);
   std::ostringstream os;
   k->save(os);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -142,18 +143,30 @@ void AddressSpace::unmap_page(u32 vaddr) {
   table.clear(vaddr);
 }
 
+namespace {
+
+// The bytes of the page at page_vaddr that the VMA's backing supplies, at
+// most one page; the rest of the page reads as zero.
+std::span<const u8> backing_slice(const Vma& vma, u32 page_vaddr) {
+  if (vma.backing == nullptr) return {};
+  const u32 page = page_floor(page_vaddr);
+  if (page < vma.start) return {};
+  const u64 rel = static_cast<u64>(page - vma.start) + vma.backing_offset;
+  const std::vector<u8>& src = *vma.backing;
+  if (rel >= src.size()) return {};
+  const std::size_t off = static_cast<std::size_t>(rel);
+  return std::span<const u8>(src).subspan(
+      off, std::min<std::size_t>(kPageSize, src.size() - off));
+}
+
+}  // namespace
+
 void AddressSpace::initial_page_bytes(const Vma& vma, u32 page_vaddr,
                                       std::span<u8> out) const {
-  std::ranges::fill(out, u8{0});
-  if (vma.backing == nullptr) return;
-  const u32 page = page_floor(page_vaddr);
-  if (page < vma.start) return;
-  const u64 rel = static_cast<u64>(page - vma.start) + vma.backing_offset;
-  const auto& src = *vma.backing;
-  if (rel >= src.size()) return;
-  const std::size_t n =
-      std::min<std::size_t>(out.size(), src.size() - static_cast<std::size_t>(rel));
-  std::memcpy(out.data(), src.data() + rel, n);
+  const std::span<const u8> src = backing_slice(vma, page_vaddr);
+  const std::size_t n = std::min(out.size(), src.size());
+  if (n != 0) std::memcpy(out.data(), src.data(), n);
+  std::fill(out.begin() + static_cast<std::ptrdiff_t>(n), out.end(), u8{0});
 }
 
 image::Digest AddressSpace::data_digest() const {
@@ -167,7 +180,9 @@ image::Digest AddressSpace::data_digest() const {
   const PhysicalMemory& pm = *pm_;
   const PageTable table(*pm_, root_);
   static constexpr std::array<u8, kPageSize> kZeroPage{};
-  std::array<u8, kPageSize> initial{};
+  const auto all_zero = [](std::span<const u8> b) {
+    return b.empty() || std::memcmp(b.data(), kZeroPage.data(), b.size()) == 0;
+  };
   image::Sha256 hasher;
   const auto hash32 = [&](u32 v) {
     const u8 le[4] = {static_cast<u8>(v), static_cast<u8>(v >> 8),
@@ -180,21 +195,24 @@ image::Digest AddressSpace::data_digest() const {
     hash32(vma->start);
     hash32(vma->end);
     for (u32 page = vma->start; page < vma->end; page += kPageSize) {
-      std::span<const u8> bytes;
       if (const Pte pte = table.get(page); pte.present()) {
         const SplitPair* pair = split_pair(vpn_of(page));
-        bytes = pm.frame_bytes(pair != nullptr ? pair->data_frame : pte.pfn());
-      } else if (vma->backing != nullptr) {
-        initial_page_bytes(*vma, page, initial);
-        bytes = initial;
-      } else {
-        continue;  // absent anonymous page: zero, never materialised
-      }
-      if (std::memcmp(bytes.data(), kZeroPage.data(), kPageSize) == 0) {
+        const std::span<const u8> bytes =
+            pm.frame_bytes(pair != nullptr ? pair->data_frame : pte.pfn());
+        if (all_zero(bytes)) continue;
+        hash32(page);
+        hasher.update(bytes);
         continue;
       }
+      // An absent page reads as its initial bytes: the backing's slice
+      // (none for anonymous memory), then zeros to the page end. Hash
+      // them from the backing without materialising the page.
+      const std::span<const u8> slice = backing_slice(*vma, page);
+      if (all_zero(slice)) continue;
       hash32(page);
-      hasher.update(bytes);
+      hasher.update(slice);
+      hasher.update(std::span<const u8>(kZeroPage).first(kPageSize -
+                                                          slice.size()));
     }
   }
   return hasher.final();

@@ -32,20 +32,34 @@ std::string hex64(u64 v) {
 
 }  // namespace
 
-void Writer::tag(FieldKind k, const char* name) {
-  const std::size_t n = std::strlen(name);
-  os_->put(static_cast<char>(k));
-  os_->put(static_cast<char>(n));  // field names are short by construction
-  os_->write(name, static_cast<std::streamsize>(n));
+Writer::Writer(std::ostream& os) : os_(&os) {
+  const std::ostream::sentry ok(os);
+  if (ok) sb_ = os.rdbuf();
+  put(kMagic, sizeof kMagic);
+  raw32(kFormatVersion);
 }
 
-Reader::Reader(std::istream& is) : is_(&is) {
-  char magic[8];
+void Writer::failed() {
+  sb_ = nullptr;
+  os_->setstate(std::ios::badbit);
+}
+
+void Writer::tag(FieldKind k, const char* name) {
+  const std::size_t n = std::strlen(name);
+  put8(static_cast<u8>(k));
+  put8(static_cast<u8>(n));  // field names are short by construction
+  put(name, n);
+}
+
+Reader::Reader(std::istream& is) : sb_(is.rdbuf()) {
+  const std::istream::sentry ok(is, /*noskipws=*/true);
+  if (!ok) fail("stream not readable");
+  char magic[8] = {};
   read_exact(magic, sizeof magic, "magic");
   if (std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
     fail("bad magic (not a snapshot file)");
   }
-  const u32 version = raw32();
+  const u32 version = get32();
   if (version != kFormatVersion) {
     fail("unsupported format version " + std::to_string(version) +
          " (expected " + std::to_string(kFormatVersion) + ")");
@@ -54,170 +68,137 @@ Reader::Reader(std::istream& is) : is_(&is) {
 
 void Reader::fail(const std::string& why) {
   std::string ctx = why;
-  if (!last_field_.empty()) ctx += " (after field '" + last_field_ + "')";
+  if (lens_[last_] != 0) {
+    ctx += " (after field '" + std::string(names_[last_], lens_[last_]) + "')";
+  }
   throw SnapshotError(ctx);
 }
 
+void Reader::truncated(const char* what) {
+  fail(std::string("truncated stream reading ") + what);
+}
+
 void Reader::read_exact(void* out, std::size_t n, const char* what) {
-  is_->read(static_cast<char*>(out), static_cast<std::streamsize>(n));
-  if (static_cast<std::size_t>(is_->gcount()) != n) {
-    fail(std::string("truncated stream reading ") + what);
+  const auto want = static_cast<std::streamsize>(n);
+  if (want != 0 && sb_->sgetn(static_cast<char*>(out), want) != want) {
+    truncated(what);
   }
 }
 
-u8 Reader::get8() {
-  u8 v;
-  read_exact(&v, 1, "value");
-  return v;
-}
-
-u32 Reader::raw32() {
-  u8 b[4];
-  read_exact(b, 4, "value");
-  return static_cast<u32>(b[0]) | (static_cast<u32>(b[1]) << 8) |
-         (static_cast<u32>(b[2]) << 16) | (static_cast<u32>(b[3]) << 24);
+int Reader::read_name() {
+  const int next = 1 - last_;
+  const int len = bump("field name length");
+  for (int i = 0; i < len; ++i) {
+    names_[next][i] = static_cast<char>(bump("field name"));
+  }
+  lens_[next] = static_cast<u8>(len);
+  return next;
 }
 
 void Reader::expect(FieldKind k, const char* name) {
-  u8 got_kind;
-  read_exact(&got_kind, 1, "field kind");
-  u8 name_len;
-  read_exact(&name_len, 1, "field name length");
-  char buf[256];
-  read_exact(buf, name_len, "field name");
-  const std::string got_name(buf, name_len);
-  if (got_kind != static_cast<u8>(k) || got_name != name) {
+  const int kind = bump("field kind");
+  const int next = read_name();
+  const std::string_view got(names_[next], lens_[next]);
+  if (kind != static_cast<int>(k) || got != name) {
     fail("expected " + std::string(kind_name(k)) + " '" + name + "', found " +
-         kind_name(static_cast<FieldKind>(got_kind)) + " '" + got_name + "'");
+         kind_name(static_cast<FieldKind>(kind)) + " '" + std::string(got) +
+         "'");
   }
-  last_field_ = got_name;
+  last_ = next;
 }
 
-void Reader::value(const char* name, std::string& v) {
-  expect(FieldKind::kStr, name);
-  const u32 n = raw32();
+bool Reader::next_field(FieldKind& kind, std::string_view& name) {
+  const int k = sb_->sbumpc();
+  if (k == std::char_traits<char>::eof()) return false;
+  last_ = read_name();
+  kind = static_cast<FieldKind>(k);
+  name = std::string_view(names_[last_], lens_[last_]);
+  return true;
+}
+
+void Reader::get_str(std::string& v) {
+  const u32 n = get32();
   if (n > kMaxStrLen) fail("string length " + std::to_string(n) + " over cap");
   v.resize(n);
-  if (n) read_exact(v.data(), n, "string payload");
+  read_exact(v.data(), n, "string payload");
 }
 
-void Reader::value(const char* name, std::vector<u8>& v) {
-  expect(FieldKind::kBytes, name);
-  const u32 n = raw32();
+void Reader::get_bytes(std::vector<u8>& v) {
+  const u32 n = get32();
   if (n > kMaxBytesLen) fail("bytes length " + std::to_string(n) + " over cap");
   v.resize(n);
-  if (n) read_exact(v.data(), n, "bytes payload");
+  read_exact(v.data(), n, "bytes payload");
 }
 
 void Reader::bytes_into(const char* name, std::span<u8> out) {
   expect(FieldKind::kBytes, name);
-  const u32 n = raw32();
+  const u32 n = get32();
   if (n != out.size()) {
     fail("bytes field '" + std::string(name) + "' length " +
          std::to_string(n) + " != expected " + std::to_string(out.size()));
   }
-  if (n) read_exact(out.data(), n, "bytes payload");
+  read_exact(out.data(), n, "bytes payload");
 }
 
 std::vector<DumpLine> dump(std::istream& is) {
-  // Re-implements the wire walk without a schema: every field carries its
-  // own kind and name, so the only shared knowledge is the TLV layout.
-  Reader header_check(is);  // validates magic + version, then is unused
+  // The schema-free walk: every field carries its own kind and name, so
+  // the only shared knowledge is the TLV layout, read by the same Reader
+  // restore uses.
+  Reader r(is);
   std::vector<DumpLine> lines;
-  std::vector<std::string> path{"snapshot_root"};
-  // Use raw stream reads mirroring Reader's primitives.
-  auto read_exact = [&is](void* out, std::size_t n) {
-    is.read(static_cast<char*>(out), static_cast<std::streamsize>(n));
-    return static_cast<std::size_t>(is.gcount()) == n;
-  };
-  auto r32 = [&](u32& v) {
-    u8 b[4];
-    if (!read_exact(b, 4)) return false;
-    v = static_cast<u32>(b[0]) | (static_cast<u32>(b[1]) << 8) |
-        (static_cast<u32>(b[2]) << 16) | (static_cast<u32>(b[3]) << 24);
-    return true;
-  };
+  // Dotted path of the open groups ("machine.procs.proc[2]."), and the
+  // length it had before each was opened.
+  std::string prefix;
+  std::vector<std::size_t> opened;
   // Sibling-name disambiguation: repeated names within one parent group
   // get a [i] suffix so dump keys are unique and diff can align on them.
   std::vector<std::map<std::string, u32>> seen(1);
 
-  for (;;) {
-    u8 kind_b;
-    if (!read_exact(&kind_b, 1)) {
-      if (path.size() == 1) break;  // clean EOF at top level
-      throw SnapshotError("truncated stream: " +
-                          std::to_string(path.size() - 1) +
-                          " unclosed group(s)");
-    }
-    u8 name_len;
-    if (!read_exact(&name_len, 1)) throw SnapshotError("truncated field name");
-    char nbuf[256];
-    if (!read_exact(nbuf, name_len)) throw SnapshotError("truncated field name");
-    std::string name(nbuf, name_len);
-    const auto kind = static_cast<FieldKind>(kind_b);
-
+  FieldKind kind{};
+  std::string_view field;
+  while (r.next_field(kind, field)) {
     if (kind == FieldKind::kGroupEnd) {
-      if (path.size() == 1) throw SnapshotError("unbalanced group end");
-      path.pop_back();
+      if (opened.empty()) r.fail("unbalanced group end");
+      prefix.resize(opened.back());
+      opened.pop_back();
       seen.pop_back();
       continue;
     }
 
+    std::string name(field);
     const u32 idx = seen.back()[name]++;
     if (idx > 0) name += "[" + std::to_string(idx) + "]";
-    std::string key;
-    for (std::size_t i = 1; i < path.size(); ++i) key += path[i] + ".";
-    key += name;
+    std::string key = prefix + name;
 
     switch (kind) {
       case FieldKind::kGroupBegin:
-        path.push_back(name);
+        opened.push_back(prefix.size());
+        prefix = std::move(key) + ".";
         seen.emplace_back();
         break;
-      case FieldKind::kU8: {
-        u8 v;
-        if (!read_exact(&v, 1)) throw SnapshotError("truncated u8 " + key);
-        lines.push_back({key, std::to_string(v)});
+      case FieldKind::kU8:
+        lines.push_back({std::move(key), std::to_string(r.get8())});
         break;
-      }
-      case FieldKind::kU32: {
-        u32 v;
-        if (!r32(v)) throw SnapshotError("truncated u32 " + key);
-        lines.push_back({key, std::to_string(v)});
+      case FieldKind::kU32:
+        lines.push_back({std::move(key), std::to_string(r.get32())});
         break;
-      }
-      case FieldKind::kU64: {
-        u32 lo, hi;
-        if (!r32(lo) || !r32(hi)) throw SnapshotError("truncated u64 " + key);
-        lines.push_back(
-            {key, hex64((static_cast<u64>(hi) << 32) | lo)});
+      case FieldKind::kU64:
+        lines.push_back({std::move(key), hex64(r.get64())});
         break;
-      }
-      case FieldKind::kBool: {
-        u8 v;
-        if (!read_exact(&v, 1)) throw SnapshotError("truncated bool " + key);
-        lines.push_back({key, v ? "true" : "false"});
+      case FieldKind::kBool:
+        lines.push_back({std::move(key), r.get8() ? "true" : "false"});
         break;
-      }
       case FieldKind::kStr: {
-        u32 n;
-        if (!r32(n)) throw SnapshotError("truncated str " + key);
-        if (n > kMaxStrLen) throw SnapshotError("str over cap at " + key);
-        std::string s(n, '\0');
-        if (n && !read_exact(s.data(), n))
-          throw SnapshotError("truncated str " + key);
-        lines.push_back({key, "\"" + s + "\""});
+        std::string s;
+        r.get_str(s);
+        lines.push_back({std::move(key), "\"" + s + "\""});
         break;
       }
       case FieldKind::kBytes: {
-        u32 n;
-        if (!r32(n)) throw SnapshotError("truncated bytes " + key);
-        if (n > kMaxBytesLen) throw SnapshotError("bytes over cap at " + key);
-        std::vector<u8> v(n);
-        if (n && !read_exact(v.data(), n))
-          throw SnapshotError("truncated bytes " + key);
+        std::vector<u8> v;
+        r.get_bytes(v);
         std::string rendered;
-        if (n <= 32) {
+        if (v.size() <= 32) {
           // Short payloads inline as hex so diffs show the actual bytes.
           char b[3];
           rendered = "hex:";
@@ -226,16 +207,20 @@ std::vector<DumpLine> dump(std::istream& is) {
             rendered += b;
           }
         } else {
-          rendered = "bytes[" + std::to_string(n) + "] sha256=" +
+          rendered = "bytes[" + std::to_string(v.size()) + "] sha256=" +
                      image::hex_digest(image::sha256(v)).substr(0, 16);
         }
-        lines.push_back({key, rendered});
+        lines.push_back({std::move(key), std::move(rendered)});
         break;
       }
       default:
-        throw SnapshotError("unknown field kind " +
-                            std::to_string(kind_b) + " at " + key);
+        r.fail("unknown field kind " + std::to_string(static_cast<u32>(kind)) +
+               " at " + key);
     }
+  }
+  if (!opened.empty()) {
+    r.fail("truncated stream: " + std::to_string(opened.size()) +
+           " unclosed group(s)");
   }
   return lines;
 }

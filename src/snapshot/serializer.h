@@ -9,7 +9,8 @@
 //      is a template over the archive type and cannot drift between the
 //      two directions);
 //   2. `smsnap dump`/`smsnap diff` walk a snapshot generically, field by
-//      field, with no schema at all — every field carries its own name;
+//      field, with no schema at all — every field carries its own name —
+//      through the same Reader (next_field) that restore uses;
 //   3. corruption is detected structurally: a flipped kind byte, a
 //      mismatched field name, a length running past the end of the stream
 //      or over its cap all throw SnapshotError with the offending field's
@@ -26,7 +27,9 @@
 #include <ostream>
 #include <span>
 #include <stdexcept>
+#include <streambuf>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "arch/types.h"
@@ -72,12 +75,15 @@ enum class FieldKind : u8 {
 inline constexpr u32 kMaxStrLen = 1u << 20;
 inline constexpr u32 kMaxBytesLen = 1u << 28;  // 256 MiB
 
+// Both archives work on the stream's buffer (rdbuf()) directly: one field
+// costs a handful of inline sputc/sbumpc calls on the buffer's put or get
+// area, and a bulk payload is one sputn/sgetn, instead of one checked
+// std::ostream/std::istream call per primitive.
 class Writer {
  public:
-  explicit Writer(std::ostream& os) : os_(&os) {
-    os_->write(kMagic, sizeof kMagic);
-    raw32(kFormatVersion);
-  }
+  // Writes the magic and the format version. A stream that is not good()
+  // gets nothing; Access::save then reports the failed stream.
+  explicit Writer(std::ostream& os);
 
   static constexpr bool reading = false;
 
@@ -86,7 +92,7 @@ class Writer {
 
   void value(const char* name, u8& v) {
     tag(FieldKind::kU8, name);
-    os_->put(static_cast<char>(v));
+    put8(v);
   }
   void value(const char* name, u32& v) {
     tag(FieldKind::kU32, name);
@@ -94,26 +100,24 @@ class Writer {
   }
   void value(const char* name, u64& v) {
     tag(FieldKind::kU64, name);
-    raw64(v);
+    raw32(static_cast<u32>(v));
+    raw32(static_cast<u32>(v >> 32));
   }
   void value(const char* name, bool& v) {
     tag(FieldKind::kBool, name);
-    os_->put(v ? 1 : 0);
+    put8(v ? 1 : 0);
   }
   void value(const char* name, std::string& v) {
     tag(FieldKind::kStr, name);
     raw32(static_cast<u32>(v.size()));
-    os_->write(v.data(), static_cast<std::streamsize>(v.size()));
+    put(v.data(), v.size());
   }
-  void value(const char* name, std::vector<u8>& v) {
-    bytes(name, v);
-  }
+  void value(const char* name, std::vector<u8>& v) { bytes(name, v); }
   // Bulk payload (frame contents, packed event arrays).
   void bytes(const char* name, std::span<const u8> v) {
     tag(FieldKind::kBytes, name);
     raw32(static_cast<u32>(v.size()));
-    os_->write(reinterpret_cast<const char*>(v.data()),
-               static_cast<std::streamsize>(v.size()));
+    put(v.data(), v.size());
   }
 
   // Writer-side check is a no-op: the live state is trusted.
@@ -122,21 +126,34 @@ class Writer {
  private:
   void tag(FieldKind k, const char* name);
   void raw32(u32 v) {
-    char b[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
-                 static_cast<char>(v >> 16), static_cast<char>(v >> 24)};
-    os_->write(b, 4);
+    for (int i = 0; i < 32; i += 8) put8(static_cast<u8>(v >> i));
   }
-  void raw64(u64 v) {
-    raw32(static_cast<u32>(v));
-    raw32(static_cast<u32>(v >> 32));
+  void put8(u8 v) {
+    if (sb_ != nullptr &&
+        sb_->sputc(static_cast<char>(v)) == std::char_traits<char>::eof()) {
+      failed();
+    }
   }
+  void put(const void* p, std::size_t n) {
+    const auto len = static_cast<std::streamsize>(n);
+    if (sb_ != nullptr && len != 0 &&
+        sb_->sputn(static_cast<const char*>(p), len) != len) {
+      failed();
+    }
+  }
+  // A short write: mark the stream bad, as std::ostream::write would, and
+  // write nothing more.
+  void failed();
 
   std::ostream* os_;
+  std::streambuf* sb_ = nullptr;  // nullptr once the stream has failed
 };
 
 class Reader {
  public:
-  // Validates magic + version up front.
+  // Validates magic + version up front. A stream that is not good() is
+  // rejected. The reader consumes exactly the bytes it parses, so after a
+  // restore the stream stands on the byte after the snapshot.
   explicit Reader(std::istream& is);
 
   static constexpr bool reading = true;
@@ -150,21 +167,47 @@ class Reader {
   }
   void value(const char* name, u32& v) {
     expect(FieldKind::kU32, name);
-    v = raw32();
+    v = get32();
   }
   void value(const char* name, u64& v) {
     expect(FieldKind::kU64, name);
-    v = raw64();
+    v = get64();
   }
   void value(const char* name, bool& v) {
     expect(FieldKind::kBool, name);
     v = get8() != 0;
   }
-  void value(const char* name, std::string& v);
-  void value(const char* name, std::vector<u8>& v);
+  void value(const char* name, std::string& v) {
+    expect(FieldKind::kStr, name);
+    get_str(v);
+  }
+  void value(const char* name, std::vector<u8>& v) {
+    expect(FieldKind::kBytes, name);
+    get_bytes(v);
+  }
   // Reads a bytes field that must be exactly out.size() long (fixed-size
   // payloads like a physical frame).
   void bytes_into(const char* name, std::span<u8> out);
+
+  // --- schema-free walk (dump/diff) --------------------------------------
+  // Reads the next field header. Returns false at a clean end of stream
+  // (no byte where a header would start). `name` stays valid until the
+  // next header is read.
+  bool next_field(FieldKind& kind, std::string_view& name);
+  // Payload readers: the value after a header of the matching kind.
+  u8 get8() { return static_cast<u8>(bump("value")); }
+  u32 get32() {
+    u32 v = get8();
+    v |= static_cast<u32>(get8()) << 8;
+    v |= static_cast<u32>(get8()) << 16;
+    return v | static_cast<u32>(get8()) << 24;
+  }
+  u64 get64() {
+    const u64 lo = get32();
+    return lo | static_cast<u64>(get32()) << 32;
+  }
+  void get_str(std::string& v);       // u32 length (kMaxStrLen) + bytes
+  void get_bytes(std::vector<u8>& v);  // u32 length (kMaxBytesLen) + bytes
 
   // Validation helper for schema-level constraints (counts, ranges).
   void check(bool ok, const char* what) {
@@ -175,17 +218,25 @@ class Reader {
 
  private:
   void expect(FieldKind k, const char* name);
-  u8 get8();
-  u32 raw32();
-  u64 raw64() {
-    const u64 lo = raw32();
-    const u64 hi = raw32();
-    return lo | (hi << 32);
+  int bump(const char* what) {
+    const int c = sb_->sbumpc();
+    if (c == std::char_traits<char>::eof()) [[unlikely]] {
+      truncated(what);
+    }
+    return c;
   }
   void read_exact(void* out, std::size_t n, const char* what);
+  [[noreturn]] void truncated(const char* what);
+  // Reads a header's name length and name into the slot that does not
+  // hold the last accepted name; returns that slot.
+  int read_name();
 
-  std::istream* is_;
-  std::string last_field_;  // for error context
+  std::streambuf* sb_;
+  // Field names of the last two headers read, in place: names_[last_] is
+  // the last one accepted, the error context of every failure after it.
+  char names_[2][255] = {};
+  u8 lens_[2] = {};
+  int last_ = 0;
 };
 
 // One dumped field: the dotted group path + name, and a printable value.

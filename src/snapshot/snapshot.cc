@@ -5,11 +5,12 @@
 #include "snapshot/snapshot.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -131,12 +132,11 @@ void must_match(Ar& ar, const char* name, const T& live) {
 
 template <class Ar>
 void regs(Ar& ar, arch::Regs& r) {
+  static constexpr const char* kRegNames[] = {"r0", "r1", "r2", "r3",
+                                              "r4", "r5", "r6", "r7"};
+  static_assert(std::size(kRegNames) == arch::kNumRegs);
   ar.begin("regs");
-  for (u32 i = 0; i < arch::kNumRegs; ++i) {
-    char name[8];
-    std::snprintf(name, sizeof name, "r%u", i);
-    ar.value(name, r.r[i]);
-  }
+  for (u32 i = 0; i < arch::kNumRegs; ++i) ar.value(kRegNames[i], r.r[i]);
   ar.value("pc", r.pc);
   ar.value("flags", r.flags);
   ar.end();
@@ -1401,43 +1401,43 @@ void Access::validate_consistency(kernel::Kernel& k) {
   // one per non-split mapping + both frames of each split pair). Equality
   // proves ~AddressSpace can never double-unref — i.e. a structurally
   // valid but semantically corrupt snapshot still can't break teardown.
-  arch::PhysicalMemory& pm = k.pm_;
+  // Tables are read through the const frame view (no generation bumps),
+  // and every frame is range-checked by count() before it is read.
+  const arch::PhysicalMemory& pm = k.pm_;
   const u32 nf = pm.num_frames_;
   std::vector<u32> expected(nf, 0);
   const auto count = [&](u32 pfn, const char* what) {
     if (pfn >= nf) throw SnapshotError(std::string(what) + " out of range");
     ++expected[pfn];
   };
-  try {
-    for (const auto& up : k.procs_) {
-      if (!up->as) continue;
-      kernel::AddressSpace& as = *up->as;
-      count(as.root_, "page-directory frame");
-      for (u32 di = 0; di < 1024; ++di) {
-        const arch::Pte pde{
-            pm.read32(static_cast<u64>(as.root_) * kPageSize + di * 4)};
-        if (!pde.present()) continue;
-        count(pde.pfn(), "page-table frame");
-        for (u32 ti = 0; ti < 1024; ++ti) {
-          const arch::Pte pte{
-              pm.read32(static_cast<u64>(pde.pfn()) * kPageSize + ti * 4)};
-          if (!pte.present()) continue;
-          const u32 vpn = (di << 10) | ti;
-          if (!as.split_pages_.contains(vpn)) {
-            count(pte.pfn(), "mapped frame");
-          }
+  const auto entry = [](std::span<const u8> table, u32 i) {
+    u32 raw = 0;
+    std::memcpy(&raw, table.data() + i * 4, 4);  // little-endian, as read32
+    return arch::Pte{raw};
+  };
+  for (const auto& up : k.procs_) {
+    if (!up->as) continue;
+    kernel::AddressSpace& as = *up->as;
+    count(as.root_, "page-directory frame");
+    const std::span<const u8> dir = pm.frame_bytes(as.root_);
+    for (u32 di = 0; di < 1024; ++di) {
+      const arch::Pte pde = entry(dir, di);
+      if (!pde.present()) continue;
+      count(pde.pfn(), "page-table frame");
+      const std::span<const u8> table = pm.frame_bytes(pde.pfn());
+      for (u32 ti = 0; ti < 1024; ++ti) {
+        const arch::Pte pte = entry(table, ti);
+        if (!pte.present()) continue;
+        const u32 vpn = (di << 10) | ti;
+        if (!as.split_pages_.contains(vpn)) {
+          count(pte.pfn(), "mapped frame");
         }
       }
-      for (const auto& [vpn, pair] : as.split_pages_) {
-        count(pair.code_frame, "split code frame");
-        count(pair.data_frame, "split data frame");
-      }
     }
-  } catch (const SnapshotError&) {
-    throw;
-  } catch (const std::exception& e) {
-    throw SnapshotError(std::string("restored page tables unreadable: ") +
-                        e.what());
+    for (const auto& [vpn, pair] : as.split_pages_) {
+      count(pair.code_frame, "split code frame");
+      count(pair.data_frame, "split data frame");
+    }
   }
   for (u32 p = 0; p < nf; ++p) {
     if (expected[p] != pm.refcounts_[p]) {

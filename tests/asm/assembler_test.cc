@@ -118,6 +118,47 @@ buf2: .space 28
   EXPECT_EQ(p.symbol("buf2"), p.layout.bss_base + 100);
 }
 
+TEST(Assembler, AlignPadsEverySectionToTheBoundary) {
+  // .align pads with zeros up to the next multiple in .text and .data,
+  // and only advances the offset in .bss; an aligned offset gets no pad.
+  const Program p = assemble(R"(
+_start: nop
+        .align 4096
+page:   ret
+        .align 4
+w:      nop
+.data
+d0:     .byte 1, 2, 3
+        .align 8
+d1:     .word 5
+        .align 8
+        .align 16
+d2:     .byte 9
+.bss
+b0:     .space 3
+        .align 4096
+b1:     .space 4
+        .align 1
+b2:     .space 1
+)");
+  EXPECT_EQ(p.symbol("page"), p.layout.text_base + 4096);
+  EXPECT_EQ(p.symbol("w"), p.layout.text_base + 4100);
+  ASSERT_EQ(p.text.size(), 4101u);
+  for (std::size_t i = 1; i < 4096; ++i) ASSERT_EQ(p.text[i], 0) << i;
+  EXPECT_EQ(p.text[4097], 0);
+  EXPECT_EQ(p.text[4099], 0);
+
+  EXPECT_EQ(p.symbol("d1"), p.layout.data_base + 8);
+  EXPECT_EQ(p.symbol("d2"), p.layout.data_base + 16);
+  ASSERT_EQ(p.data.size(), 17u);
+  for (std::size_t i : {3u, 7u, 12u, 15u}) EXPECT_EQ(p.data[i], 0) << i;
+  EXPECT_EQ(p.data[16], 9);
+
+  EXPECT_EQ(p.symbol("b1"), p.layout.bss_base + 4096);
+  EXPECT_EQ(p.symbol("b2"), p.layout.bss_base + 4100);
+  EXPECT_EQ(p.bss_size, 4101u);
+}
+
 TEST(Assembler, LargeBssSpaceOnlyAdvancesTheOffset) {
   // The fuzz generator's .bss shape: page-sized reservations with labels
   // after them. Nothing is emitted, only addresses and bss_size move.

@@ -110,6 +110,22 @@ TEST(ExitDigest, AbsentBackedPageHashesAsItsInitialBytes) {
   EXPECT_NE(absent.digest(), present.digest());
 }
 
+TEST(ExitDigest, EmptyOrZeroBackingHashesLikeAnonymousMemory) {
+  // The loader's .bss shape: a backed VMA whose backing supplies nothing,
+  // or only zeros, reads as zero pages, so its absent pages digest like
+  // the same extent of anonymous memory.
+  Space anon(0), empty(0), zeros(0);
+  anon.as.add_vma(make_vma(0x10000, 0x13000, VmaKind::kBss));
+  Vma e = make_vma(0x10000, 0x13000, VmaKind::kBss);
+  e.backing = std::make_shared<const std::vector<u8>>();
+  empty.as.add_vma(std::move(e));
+  Vma z = make_vma(0x10000, 0x13000, VmaKind::kBss);
+  z.backing = std::make_shared<const std::vector<u8>>(kPageSize + 8, u8{0});
+  zeros.as.add_vma(std::move(z));
+  EXPECT_EQ(anon.digest(), empty.digest());
+  EXPECT_EQ(anon.digest(), zeros.digest());
+}
+
 TEST(ExitDigest, SplitPageHashesItsDataView) {
   Space plain, split;
   const u32 page = kStackTop - kPageSize;

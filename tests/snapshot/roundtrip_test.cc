@@ -2,12 +2,18 @@
 // satellite): save→restore→save must be byte-identical, and a damaged
 // stream — truncated anywhere, any single bit flipped, wrong magic or
 // version, config mismatch — must be rejected with snapshot::SnapshotError
-// carrying a useful message, never undefined behaviour. The ci preset
-// runs this file under ASan/UBSan, which is what makes "never UB" a
-// checked claim rather than a hope.
+// carrying a useful message, never undefined behaviour. Restore reads and
+// save writes the stream's buffer directly, so the buffer kind, what
+// follows the snapshot and a refused write are pinned here too. The ci
+// preset runs this file under ASan/UBSan, which is what makes "never UB"
+// a checked claim rather than a hope.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -192,6 +198,106 @@ TEST(SnapshotRoundtrip, BadMagicAndVersionRejected) {
     std::istringstream is("");
     EXPECT_THROW(r.k->restore(is), snapshot::SnapshotError);
   }
+}
+
+// Restore reads through the stream's buffer, whatever kind it is: a file
+// buffer, which refills from the file in chunks and reads bulk payloads
+// past its buffer, restores the same machine as a string buffer.
+TEST(SnapshotRoundtrip, RestoreThroughAFileMatchesAStringStream) {
+  const kernel::KernelConfig cfg = snapshot_test_cfg();
+  const std::string blob = mid_run_blob(cfg);
+  const std::string path = ::testing::TempDir() + "roundtrip_file.snap";
+  {
+    std::ofstream os(path, std::ios::binary);
+    os.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+    ASSERT_TRUE(os.good());
+  }
+  auto from_file = boot(cfg);
+  {
+    std::fstream fs(path, std::ios::in | std::ios::binary);
+    ASSERT_TRUE(fs.is_open());
+    from_file.k->restore(fs);
+  }
+  std::remove(path.c_str());
+  auto from_string = boot(cfg);
+  restore_bytes(*from_string.k, blob);
+
+  std::istringstream a(save_bytes(*from_file.k));
+  std::istringstream b(save_bytes(*from_string.k));
+  EXPECT_EQ(snapshot::diff(a, b), std::vector<std::string>{});
+}
+
+// The reader consumes exactly the snapshot: whatever follows it in the
+// stream is still there, starting at the next byte.
+TEST(SnapshotRoundtrip, RestoreStopsAtTheSnapshotsLastByte) {
+  const kernel::KernelConfig cfg = snapshot_test_cfg();
+  const std::string blob = mid_run_blob(cfg);
+  auto r = boot(cfg);
+  std::istringstream is(blob + "TRAILER");
+  r.k->restore(is);
+  ASSERT_TRUE(is.good());
+  EXPECT_EQ(is.tellg(), static_cast<std::streamoff>(blob.size()));
+  std::string rest;
+  std::getline(is, rest);
+  EXPECT_EQ(rest, "TRAILER");
+}
+
+TEST(SnapshotRoundtrip, RestoreRejectsAStreamInAFailedState) {
+  const kernel::KernelConfig cfg = snapshot_test_cfg();
+  const std::string blob = mid_run_blob(cfg);
+  auto r = boot(cfg);
+  std::istringstream is(blob);
+  is.setstate(std::ios::failbit);
+  EXPECT_THROW(r.k->restore(is), snapshot::SnapshotError);
+}
+
+// A stream buffer that takes `room` bytes and then refuses every write,
+// like a full disk.
+class FullAfter : public std::streambuf {
+ public:
+  explicit FullAfter(std::size_t room) : room_(room) {}
+  const std::string& bytes() const { return bytes_; }
+
+ protected:
+  int_type overflow(int_type c) override {
+    if (traits_type::eq_int_type(c, traits_type::eof())) {
+      return traits_type::not_eof(c);
+    }
+    if (bytes_.size() == room_) return traits_type::eof();
+    bytes_.push_back(traits_type::to_char_type(c));
+    return c;
+  }
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    const auto take =
+        std::min(static_cast<std::size_t>(n), room_ - bytes_.size());
+    bytes_.append(s, take);
+    return static_cast<std::streamsize>(take);
+  }
+
+ private:
+  std::size_t room_;
+  std::string bytes_;
+};
+
+TEST(SnapshotRoundtrip, ShortWriteMakesSaveThrow) {
+  const kernel::KernelConfig cfg = snapshot_test_cfg();
+  auto r = boot(cfg);
+  r.k->run(40);
+  const std::string blob = save_bytes(*r.k);
+  for (const std::size_t room :
+       {std::size_t{0}, std::size_t{5}, std::size_t{13}, blob.size() / 3,
+        blob.size() - 1}) {
+    FullAfter buf(room);
+    std::ostream os(&buf);
+    EXPECT_THROW(r.k->save(os), snapshot::SnapshotError)
+        << "write refused after " << room << " bytes went unnoticed";
+    EXPECT_FALSE(os.good());
+  }
+  // With room for all of it, the same bytes arrive.
+  FullAfter buf(blob.size());
+  std::ostream os(&buf);
+  r.k->save(os);
+  EXPECT_EQ(buf.bytes(), blob);
 }
 
 // restore() is an in-place reset of a kernel with the SAME configuration

@@ -59,6 +59,8 @@ MICROBENCH_LABELS = [
     "BM_SplitFaultProtocol",
     "BM_Sha256_4K",
     "BM_AssembleGuestLibc",
+    "BM_KernelConstruct",
+    "BM_KernelRestore",
 ]
 
 

@@ -13,8 +13,9 @@
 //       schema-free field-by-field text dump (works on any snapshot —
 //       every field is self-describing)
 //   smsnap diff   A B
-//       field-by-field comparison; prints differing fields, exit 1 if
-//       the machines differ, 2 on malformed input
+//       field-by-field comparison; prints differing fields and exits 1
+//       if the machines differ, prints nothing and exits 0 if they do
+//       not, exits 2 on malformed input
 //
 // resume deliberately takes the generation flags again: restore() is an
 // in-place reset that validates the receiving kernel's config and engine
@@ -206,11 +207,7 @@ int cmd_diff(const Args& a) {
   }
   const auto lines = snapshot::diff(ia, ib);
   for (const auto& l : lines) std::printf("%s\n", l.c_str());
-  if (lines.empty()) {
-    std::printf("snapshots are field-identical\n");
-    return 0;
-  }
-  return 1;
+  return lines.empty() ? 0 : 1;
 }
 
 }  // namespace
