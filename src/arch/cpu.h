@@ -107,6 +107,8 @@ class Cpu {
   void set_trace(trace::TraceSink* sink) { trace_ = sink; }
 
  private:
+  friend struct sm::snapshot::Access;
+
   // Fetches the instruction bytes at pc through the I-TLB path, consulting
   // the decode cache first, into `d`. Simulated costs are billed
   // identically on hit and miss. Returns a fetch page fault, #UD or #GP.

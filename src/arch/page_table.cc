@@ -1,12 +1,14 @@
 #include "arch/page_table.h"
 
+#include <utility>
+
 namespace sm::arch {
 
 namespace {
-constexpr u32 kEntriesPerTable = kPageSize / 4;
-
 u32 dir_index(u32 vaddr) { return vaddr >> 22; }
-u32 table_index(u32 vaddr) { return (vaddr >> kPageShift) & (kEntriesPerTable - 1); }
+u32 table_index(u32 vaddr) {
+  return (vaddr >> kPageShift) & (PageTable::kEntries - 1);
+}
 }  // namespace
 
 u32 PageTable::create(PhysicalMemory& pm) { return pm.alloc_frame(); }
@@ -50,24 +52,16 @@ std::optional<Pte> PageTable::walk(u32 vaddr, metrics::Stats* stats) const {
 
 void PageTable::for_each_mapping(
     const std::function<void(u32 vaddr, Pte pte)>& fn) const {
-  for (u32 di = 0; di < kEntriesPerTable; ++di) {
-    const Pte pde{
-        pm_->read32(static_cast<u64>(root_) * kPageSize + di * 4)};
-    if (!pde.present()) continue;
-    for (u32 ti = 0; ti < kEntriesPerTable; ++ti) {
-      const Pte pte{pm_->read32(
-          static_cast<u64>(pde.pfn()) * kPageSize + ti * 4)};
-      if (!pte.present()) continue;
-      fn((di << 22) | (ti << kPageShift), pte);
-    }
-  }
+  for_each_pte([](u32) {},
+               [&](u32 vpn, Pte pte) { fn(vpn << kPageShift, pte); });
 }
 
 void PageTable::destroy() {
-  for (u32 di = 0; di < kEntriesPerTable; ++di) {
-    const Pte pde{
-        pm_->read32(static_cast<u64>(root_) * kPageSize + di * 4)};
-    if (pde.present()) pm_->unref_frame(pde.pfn());
+  const std::span<const u8> dir = std::as_const(*pm_).frame_bytes(root_);
+  for (u32 di = 0; di < kEntries; ++di) {
+    if (const Pte pde = entry(dir, di); pde.present()) {
+      pm_->unref_frame(pde.pfn());
+    }
   }
   pm_->unref_frame(root_);
 }

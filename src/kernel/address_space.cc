@@ -12,7 +12,6 @@ namespace sm::kernel {
 using arch::kPageMask;
 using arch::kPageSize;
 using arch::page_floor;
-using arch::u64;
 using arch::vpn_of;
 
 AddressSpace::AddressSpace(PhysicalMemory& pm)
@@ -23,20 +22,12 @@ AddressSpace::~AddressSpace() { destroy(); }
 void AddressSpace::destroy() {
   if (destroyed_) return;
   destroyed_ = true;
-  PageTable table = pt();
-  table.for_each_mapping([&](u32 vaddr, Pte pte) {
-    const u32 vpn = vpn_of(vaddr);
-    if (const auto it = split_pages_.find(vpn); it != split_pages_.end()) {
-      // Both physical pages of a split page return to the free pool
-      // (paper §5.4: "freeing two pages instead of just one").
-      pm_->unref_frame(it->second.code_frame);
-      pm_->unref_frame(it->second.data_frame);
-    } else {
-      pm_->unref_frame(pte.pfn());
-    }
-  });
+  // The mapped frames first: both physical pages of a split page return
+  // to the free pool (paper §5.4: "freeing two pages instead of just
+  // one"). Then the tables and the directory.
+  for_each_frame_ref([](u32) {}, [&](u32 pfn) { pm_->unref_frame(pfn); });
   split_pages_.clear();
-  table.destroy();
+  pt().destroy();
 }
 
 Vma& AddressSpace::add_vma(Vma vma) {

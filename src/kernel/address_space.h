@@ -29,6 +29,7 @@ using arch::PageTable;
 using arch::PhysicalMemory;
 using arch::Pte;
 using arch::u32;
+using arch::u64;
 using arch::u8;
 
 enum class VmaKind { kCode, kData, kBss, kHeap, kStack, kMmap, kLibrary };
@@ -110,6 +111,32 @@ class AddressSpace {
 
   // --- heap ---------------------------------------------------------------
   u32 brk_end = 0;  // current program break (heap VMA grows to here)
+
+  // Every frame reference the address space holds: `on_table(pfn)` for
+  // the page directory and each second-level table, before the walk reads
+  // it; then, in address order, `on_frame(pfn)` for each mapped page's
+  // frame, or for both frames of a split page (a split pair counts whether
+  // or not its page is mapped). destroy() releases exactly these and
+  // snapshot restore counts them against the frame refcounts.
+  template <class OnTable, class OnFrame>
+  void for_each_frame_ref(OnTable&& on_table, OnFrame&& on_frame) const {
+    auto split = split_pages_.begin();
+    const auto pairs_below = [&](u64 vpn) {
+      for (; split != split_pages_.end() && split->first < vpn; ++split) {
+        on_frame(split->second.code_frame);
+        on_frame(split->second.data_frame);
+      }
+    };
+    PageTable(*pm_, root_).for_each_pte(on_table, [&](u32 vpn, Pte pte) {
+      pairs_below(vpn);
+      if (split != split_pages_.end() && split->first == vpn) {
+        pairs_below(u64{vpn} + 1);
+      } else {
+        on_frame(pte.pfn());
+      }
+    });
+    pairs_below(u64{1} << 32);
+  }
 
   // Frees every mapping and the page tables themselves. Called by the
   // destructor; idempotent.

@@ -119,6 +119,8 @@ class Writer {
     raw32(static_cast<u32>(v.size()));
     put(v.data(), v.size());
   }
+  // A fixed-size payload, read back in place by Reader::bytes_into.
+  void bytes_into(const char* name, std::span<const u8> v) { bytes(name, v); }
 
   // Writer-side check is a no-op: the live state is trusted.
   void check(bool, const char*) {}

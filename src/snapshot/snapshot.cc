@@ -1,17 +1,26 @@
-// The machine schema: one template function per component, instantiated
-// for Writer (save) and Reader (restore). See snapshot.h for the contract
-// and DESIGN.md §15 for the format rationale.
+// The machine schema. Each record is declared once, as a table of (wire
+// name, member) entries or through one of the shape helpers, and save
+// (Writer) and restore (Reader) both walk that declaration. See snapshot.h
+// for the contract and DESIGN.md §15 for the format.
 
 #include "snapshot/snapshot.h"
 
 #include <algorithm>
-#include <cstring>
+#include <array>
+#include <bit>
+#include <cstddef>
 #include <deque>
-#include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
+#include <queue>
+#include <ranges>
 #include <span>
+#include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "arch/cpu.h"
@@ -32,1299 +41,1367 @@ namespace {
 
 using arch::kPageSize;
 
-// --- archive-neutral helpers (public state only) ---------------------------
+// Counted lists above this are refused before anything is sized by them.
+constexpr u32 kMaxCount = 1u << 20;
 
-// A u32 sequence packed as one little-endian bytes blob. Works for vector,
-// deque and set (insert-at-end is append for the former two, ordered insert
-// for the latter — and a serialized set is already sorted).
-template <class Ar, class C>
-void u32_seq(Ar& ar, const char* name, C& c) {
-  if constexpr (Ar::reading) {
-    std::vector<u8> blob;
-    ar.value(name, blob);
-    ar.check(blob.size() % 4 == 0, "u32 sequence length not a multiple of 4");
-    c.clear();
-    for (std::size_t i = 0; i < blob.size(); i += 4) {
-      const u32 v = static_cast<u32>(blob[i]) |
-                    static_cast<u32>(blob[i + 1]) << 8 |
-                    static_cast<u32>(blob[i + 2]) << 16 |
-                    static_cast<u32>(blob[i + 3]) << 24;
-      c.insert(c.end(), v);
-    }
-  } else {
-    std::vector<u8> blob;
-    blob.reserve(c.size() * 4);
-    for (const u32 v : c) {
-      blob.push_back(static_cast<u8>(v));
-      blob.push_back(static_cast<u8>(v >> 8));
-      blob.push_back(static_cast<u8>(v >> 16));
-      blob.push_back(static_cast<u8>(v >> 24));
-    }
-    ar.bytes(name, blob);
+// Enumerator count of each stored enum: an enum travels as one byte and
+// is refused on restore unless it is below this count.
+template <class E>
+constexpr u8 kEnumCount = static_cast<u8>(E::kCount);
+template <>
+constexpr u8 kEnumCount<kernel::ProcState> =
+    static_cast<u8>(kernel::ProcState::kZombie) + 1;
+template <>
+constexpr u8 kEnumCount<kernel::ExitKind> =
+    static_cast<u8>(kernel::ExitKind::kKilledSigill) + 1;
+template <>
+constexpr u8 kEnumCount<kernel::VmaKind> =
+    static_cast<u8>(kernel::VmaKind::kLibrary) + 1;
+template <>
+constexpr u8 kEnumCount<inject::Outcome> =
+    static_cast<u8>(inject::Outcome::kBreach) + 1;
+
+// --- packed payloads --------------------------------------------------------
+
+// Little-endian fixed-width integers and enums inside one bytes field.
+template <class T>
+void put_le(std::vector<u8>& out, T v) {
+  const auto x = static_cast<u64>(v);
+  for (std::size_t b = 0; b < sizeof(T); ++b) {
+    out.push_back(static_cast<u8>(x >> (8 * b)));
   }
 }
 
-// A fixed-size u64 array packed as one bytes blob (profiler event counts).
-template <class Ar>
-void u64_array(Ar& ar, const char* name, std::span<u64> a) {
+template <class T>
+T get_le(const u8* p) {
+  u64 x = 0;
+  for (std::size_t b = sizeof(T); b-- > 0;) x = x << 8 | p[b];
+  return static_cast<T>(x);
+}
+
+// A flat record packed as its members, in the order of `layout` (a tuple
+// of member pointers), each little-endian at its own width.
+template <class R, class... M>
+constexpr std::size_t packed_size(const std::tuple<M R::*...>&) {
+  return (sizeof(M) + ...);
+}
+
+template <class R, class Layout>
+void pack(std::vector<u8>& out, const R& r, const Layout& layout) {
+  std::apply([&](auto... m) { (put_le(out, r.*m), ...); }, layout);
+}
+
+template <class R, class Layout>
+void unpack(const u8*& p, R& r, const Layout& layout) {
+  std::apply(
+      [&](auto... m) {
+        ((r.*m = get_le<std::remove_cvref_t<decltype(r.*m)>>(p),
+          p += sizeof(r.*m)),
+         ...);
+      },
+      layout);
+}
+
+template <class T>
+constexpr bool kIsU64Array = false;
+template <std::size_t N>
+constexpr bool kIsU64Array<std::array<u64, N>> = true;
+
+// A u32 vector, deque or set, or a u64 array, packed into one bytes field.
+// On restore a container is refilled in order (a saved set is already
+// sorted); an array must come back exactly as long.
+template <class T>
+concept PackedSeq =
+    kIsU64Array<T> || (std::ranges::range<T> &&
+                       std::same_as<std::ranges::range_value_t<T>, u32>);
+
+template <class Ar, PackedSeq C>
+void packed_seq(Ar& ar, const char* name, C& c) {
+  using T = std::ranges::range_value_t<C>;
+  std::vector<u8> blob;
+  if constexpr (!Ar::reading) {
+    blob.reserve(c.size() * sizeof(T));
+    for (const T v : c) put_le(blob, v);
+  }
+  ar.value(name, blob);
   if constexpr (Ar::reading) {
-    std::vector<u8> blob;
-    ar.value(name, blob);
-    ar.check(blob.size() == a.size() * 8, "u64 array length mismatch");
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      u64 v = 0;
-      for (int b = 7; b >= 0; --b) v = v << 8 | blob[i * 8 + b];
-      a[i] = v;
+    ar.check(blob.size() % sizeof(T) == 0, "packed sequence length");
+    if constexpr (kIsU64Array<C>) {
+      ar.check(blob.size() == c.size() * sizeof(T), "packed array length");
+      for (std::size_t i = 0; i < c.size(); ++i) {
+        c[i] = get_le<T>(&blob[i * sizeof(T)]);
+      }
+    } else {
+      c.clear();
+      for (std::size_t i = 0; i < blob.size(); i += sizeof(T)) {
+        c.insert(c.end(), get_le<T>(&blob[i]));
+      }
     }
-  } else {
-    std::vector<u8> blob;
-    blob.reserve(a.size() * 8);
-    for (const u64 v : a) {
-      for (int b = 0; b < 8; ++b) blob.push_back(static_cast<u8>(v >> (b * 8)));
-    }
-    ar.bytes(name, blob);
   }
 }
 
-template <class Ar, class E>
-void enum_u8(Ar& ar, const char* name, E& e, u8 count) {
-  u8 v = static_cast<u8>(e);
-  ar.value(name, v);
-  if constexpr (Ar::reading) {
-    ar.check(v < count, "enum value out of range");
-    e = static_cast<E>(v);
-  }
-}
+using FreeFdHeap =
+    std::priority_queue<u32, std::vector<u32>, std::greater<u32>>;
 
-template <class Ar>
-void byte_deque(Ar& ar, const char* name, std::deque<u8>& d) {
-  if constexpr (Ar::reading) {
-    std::vector<u8> v;
-    ar.value(name, v);
-    d.assign(v.begin(), v.end());
-  } else {
-    std::vector<u8> v(d.begin(), d.end());
-    ar.bytes(name, v);
-  }
-}
+// --- one member's wire form, chosen by its type -----------------------------
 
-template <class Ar>
-void size_as_u64(Ar& ar, const char* name, std::size_t& s) {
-  u64 v = s;
-  ar.value(name, v);
-  if constexpr (Ar::reading) s = static_cast<std::size_t>(v);
-}
-
-// A config field that must be identical in the restoring kernel: written
-// normally; on read, compared against the live value and rejected on any
-// difference (restore is an in-place reset, not a constructor).
 template <class Ar, class T>
-void must_match(Ar& ar, const char* name, const T& live) {
+void field(Ar& ar, const char* name, T& v) {
+  if constexpr (std::is_enum_v<T>) {
+    u8 b = static_cast<u8>(v);
+    ar.value(name, b);
+    ar.check(b < kEnumCount<T>, "enum value out of range");
+    if constexpr (Ar::reading) v = static_cast<T>(b);
+  } else if constexpr (std::is_same_v<T, int>) {
+    // A count kept signed in memory.
+    u32 w = static_cast<u32>(v);
+    ar.value(name, w);
+    if constexpr (Ar::reading) v = static_cast<int>(w);
+  } else if constexpr (std::is_same_v<T, double>) {
+    // Its IEEE-754 bit pattern: bit-exact, and a dump never rounds.
+    u64 bits = std::bit_cast<u64>(v);
+    ar.value(name, bits);
+    if constexpr (Ar::reading) v = std::bit_cast<double>(bits);
+  } else if constexpr (std::is_same_v<T, std::deque<u8>>) {
+    std::vector<u8> bytes;
+    if constexpr (!Ar::reading) bytes.assign(v.begin(), v.end());
+    ar.value(name, bytes);
+    if constexpr (Ar::reading) v.assign(bytes.begin(), bytes.end());
+  } else if constexpr (PackedSeq<T>) {
+    packed_seq(ar, name, v);
+  } else if constexpr (std::is_same_v<T, FreeFdHeap>) {
+    // Ascending (pop) order, the only observable property of the heap.
+    std::vector<u32> fds;
+    if constexpr (!Ar::reading) {
+      for (FreeFdHeap heap = v; !heap.empty(); heap.pop()) {
+        fds.push_back(heap.top());
+      }
+    }
+    packed_seq(ar, name, fds);
+    if constexpr (Ar::reading) {
+      for (const u32 fd : fds) v.push(fd);
+    }
+  } else if constexpr (std::is_same_v<T, image::Digest>) {
+    ar.bytes_into(name, std::span<u8>(v));
+  } else if constexpr (std::is_same_v<T, image::Image>) {
+    std::vector<u8> blob;
+    if constexpr (!Ar::reading) blob = v.serialize();
+    ar.value(name, blob);
+    if constexpr (Ar::reading) {
+      try {
+        v = image::Image::deserialize(blob);
+      } catch (const std::exception& e) {
+        ar.fail(std::string("bad image payload: ") + e.what());
+      }
+    }
+  } else if constexpr (std::is_same_v<T, arch::Regs>) {
+    static constexpr const char* kRegNames[] = {"r0", "r1", "r2", "r3",
+                                                "r4", "r5", "r6", "r7"};
+    static_assert(std::size(kRegNames) == arch::kNumRegs);
+    ar.begin(name);
+    for (u32 i = 0; i < arch::kNumRegs; ++i) ar.value(kRegNames[i], v.r[i]);
+    ar.value("pc", v.pc);
+    ar.value("flags", v.flags);
+    ar.end();
+  } else {
+    ar.value(name, v);
+  }
+}
+
+bool same_value(double a, double b) {
+  return std::bit_cast<u64>(a) == std::bit_cast<u64>(b);
+}
+template <class T>
+bool same_value(const T& a, const T& b) {
+  return a == b;
+}
+
+// A value the restoring kernel must already hold: written as it is, and
+// on restore compared against the live value instead of assigned (restore
+// is an in-place reset, not a constructor).
+template <class Ar, class T>
+void must_match(Ar& ar, const char* name, const T& live,
+                const char* why = nullptr) {
   T v = live;
-  ar.value(name, v);
+  field(ar, name, v);
   if constexpr (Ar::reading) {
-    if (!(v == live)) {
-      ar.fail(std::string("config mismatch at '") + name +
-              "': snapshot was taken on a differently-configured kernel");
+    if (!same_value(v, live)) {
+      ar.fail(why != nullptr
+                  ? std::string(why)
+                  : std::string("mismatch at '") + name +
+                        "': the snapshot was taken on a differently "
+                        "configured kernel");
     }
   }
 }
 
+// has_<x> flag, then the value when there is one.
+template <class Ar, class T>
+void optional(Ar& ar, const char* has_name, const char* name,
+              std::optional<T>& o) {
+  bool has = o.has_value();
+  ar.value(has_name, has);
+  if constexpr (Ar::reading) {
+    o.reset();
+    if (has) field(ar, name, o.emplace());
+  } else if (has) {
+    field(ar, name, *o);
+  }
+}
+
+// The same for a VMA's immutable backing bytes.
 template <class Ar>
-void regs(Ar& ar, arch::Regs& r) {
-  static constexpr const char* kRegNames[] = {"r0", "r1", "r2", "r3",
-                                              "r4", "r5", "r6", "r7"};
-  static_assert(std::size(kRegNames) == arch::kNumRegs);
-  ar.begin("regs");
-  for (u32 i = 0; i < arch::kNumRegs; ++i) ar.value(kRegNames[i], r.r[i]);
-  ar.value("pc", r.pc);
-  ar.value("flags", r.flags);
+void optional(Ar& ar, const char* has_name, const char* name,
+              std::shared_ptr<const std::vector<u8>>& p) {
+  bool has = p != nullptr;
+  ar.value(has_name, has);
+  if (!has) return;
+  if constexpr (Ar::reading) {
+    std::vector<u8> bytes;
+    ar.value(name, bytes);
+    p = std::make_shared<const std::vector<u8>>(std::move(bytes));
+  } else {
+    ar.bytes(name, *p);
+  }
+}
+
+// --- member tables ----------------------------------------------------------
+//
+// A record is a tuple of entries, each naming one member and its wire
+// form; members() walks the tuple in order for either archive. Entries
+// receive the object tables as context; only shared references use them.
+
+template <class C, class M>
+struct Plain {
+  const char* name;
+  M C::*member;
+  template <class Ar, class... Ctx>
+  void operator()(Ar& ar, C& c, Ctx&...) const {
+    field(ar, name, c.*member);
+  }
+};
+
+template <class C, class M>
+struct Matched {
+  const char* name;
+  M C::*member;
+  template <class Ar, class... Ctx>
+  void operator()(Ar& ar, C& c, Ctx&...) const {
+    must_match(ar, name, c.*member);
+  }
+};
+
+template <class C, class M>
+struct Optional {
+  const char* has_name;
+  const char* name;
+  M C::*member;
+  template <class Ar, class... Ctx>
+  void operator()(Ar& ar, C& c, Ctx&...) const {
+    optional(ar, has_name, name, c.*member);
+  }
+};
+
+// A std::string that may outgrow the string cap, stored as bytes.
+template <class C>
+struct Blob {
+  const char* name;
+  std::string C::*member;
+  template <class Ar, class... Ctx>
+  void operator()(Ar& ar, C& c, Ctx&...) const {
+    std::string& s = c.*member;
+    if constexpr (Ar::reading) {
+      std::vector<u8> bytes;
+      ar.value(name, bytes);
+      s.assign(bytes.begin(), bytes.end());
+    } else {
+      ar.bytes(name, std::span<const u8>(
+                         reinterpret_cast<const u8*>(s.data()), s.size()));
+    }
+  }
+};
+
+// A vector of flat records packed into one bytes field.
+template <class C, class R, class Layout>
+struct Packed {
+  const char* name;
+  std::vector<R> C::*member;
+  Layout layout;
+  template <class Ar, class... Ctx>
+  void operator()(Ar& ar, C& c, Ctx&...) const {
+    std::vector<R>& rs = c.*member;
+    constexpr std::size_t kSize = packed_size(Layout{});
+    std::vector<u8> blob;
+    if constexpr (!Ar::reading) {
+      blob.reserve(rs.size() * kSize);
+      for (const R& r : rs) pack(blob, r, layout);
+    }
+    ar.value(name, blob);
+    if constexpr (Ar::reading) {
+      ar.check(blob.size() % kSize == 0, "packed record length");
+      rs.clear();
+      rs.reserve(blob.size() / kSize);
+      for (const u8* p = blob.data(); p != blob.data() + blob.size();) {
+        unpack(p, rs.emplace_back(), layout);
+      }
+    }
+  }
+};
+
+// A shared object (channel, pipe, file node, listen socket), written as
+// its index in the object table of its type.
+template <class C, class T>
+struct SharedRef {
+  const char* name;
+  std::shared_ptr<T> C::*member;
+  template <class Ar, class Objects>
+  void operator()(Ar& ar, C& c, Objects& objects) const {
+    objects.ref(ar, name, c.*member);
+  }
+};
+
+template <class C, class M>
+constexpr Plain<C, M> m(const char* name, M C::*member) {
+  return {name, member};
+}
+template <class C, class M>
+constexpr Matched<C, M> matched(const char* name, M C::*member) {
+  return {name, member};
+}
+template <class C, class M>
+constexpr Optional<C, M> opt(const char* has_name, const char* name,
+                             M C::*member) {
+  return {has_name, name, member};
+}
+template <class C>
+constexpr Blob<C> blob(const char* name, std::string C::*member) {
+  return {name, member};
+}
+template <class C, class R, class... M>
+constexpr auto packed(const char* name, std::vector<R> C::*member,
+                      M R::*... layout) {
+  return Packed<C, R, std::tuple<M R::*...>>{name, member, {layout...}};
+}
+template <class C, class T>
+constexpr SharedRef<C, T> ref(const char* name,
+                              std::shared_ptr<T> C::*member) {
+  return {name, member};
+}
+template <class... E>
+constexpr std::tuple<E...> table(E... entries) {
+  return {entries...};
+}
+
+template <class Ar, class C, class Table, class... Ctx>
+void members(Ar& ar, C& c, const Table& t, Ctx&... ctx) {
+  std::apply([&](const auto&... e) { (e(ar, c, ctx...), ...); }, t);
+}
+
+// A record as one group holding its members.
+template <class Ar, class C, class Table, class... Ctx>
+void record(Ar& ar, const char* group, C& c, const Table& t, Ctx&... ctx) {
+  ar.begin(group);
+  members(ar, c, t, ctx...);
   ar.end();
 }
 
-u64 double_bits(double d) {
-  u64 bits = 0;
-  std::memcpy(&bits, &d, sizeof bits);
-  return bits;
+// --- shapes -----------------------------------------------------------------
+
+// A counted list: the element count, then `each(element)` per element.
+// A count over `max` is refused before the container is sized by it.
+template <class Ar, class C, class Each>
+void counted(Ar& ar, const char* count_name, C& c, u64 max, Each&& each) {
+  u32 n = static_cast<u32>(c.size());
+  ar.value(count_name, n);
+  if constexpr (Ar::reading) {
+    if (n > max) ar.fail(std::string("implausible ") + count_name + " count");
+    c.resize(n);
+  }
+  for (auto& e : c) each(e);
 }
+
+// A keyed container: the entry count, then per entry, in ascending key
+// order, one group holding the key and then `value(mapped)`. Unordered
+// maps are sorted on save so save -> restore -> save is byte-identical.
+// A key repeated on restore is refused, naming the record.
+template <class Ar, class Map, class Value>
+void keyed(Ar& ar, const char* count_name, const char* group,
+           const char* key_name, Map& map, Value&& value) {
+  using K = typename Map::key_type;
+  using V = typename Map::mapped_type;
+  u32 n = static_cast<u32>(map.size());
+  ar.value(count_name, n);
+  if constexpr (Ar::reading) {
+    map.clear();
+    for (u32 i = 0; i < n; ++i) {
+      ar.begin(group);
+      K key{};
+      V v{};
+      field(ar, key_name, key);
+      value(v);
+      if (!map.emplace(std::move(key), std::move(v)).second) {
+        ar.fail(std::string("duplicate '") + group + "' key");
+      }
+      ar.end();
+    }
+  } else {
+    const auto put = [&](const K& key, V& v) {
+      ar.begin(group);
+      K k = key;
+      field(ar, key_name, k);
+      value(v);
+      ar.end();
+    };
+    if constexpr (requires { typename Map::key_compare; }) {
+      for (auto& [key, v] : map) put(key, v);
+    } else {
+      std::vector<typename Map::value_type*> sorted;
+      sorted.reserve(map.size());
+      for (auto& kv : map) sorted.push_back(&kv);
+      std::ranges::sort(sorted, {}, [](const auto* kv) { return kv->first; });
+      for (auto* kv : sorted) put(kv->first, kv->second);
+    }
+  }
+}
+
+// Calls fn(std::integral_constant<std::size_t, I>{}) for I == index < N.
+template <std::size_t N, class Fn>
+void with_index(std::size_t index, Fn&& fn) {
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    ((index == I ? fn(std::integral_constant<std::size_t, I>{}) : void()),
+     ...);
+  }(std::make_index_sequence<N>{});
+}
+
+// A tagged variant: the index of the alternative it holds as the u8
+// `tag`, then that alternative's members. `alternatives` holds one member
+// table per alternative.
+template <class Ar, class V, class Alternatives, class... Ctx>
+void tagged(Ar& ar, const char* tag, V& v, const Alternatives& alternatives,
+            Ctx&... ctx) {
+  constexpr std::size_t kCount = std::variant_size_v<V>;
+  static_assert(std::tuple_size_v<Alternatives> == kCount,
+                "one member table per alternative");
+  u8 index = static_cast<u8>(v.index());
+  ar.value(tag, index);
+  ar.check(index < kCount, "variant tag out of range");
+  with_index<kCount>(index, [&](auto i) {
+    if constexpr (Ar::reading) {
+      members(ar, v.template emplace<i>(), std::get<i>(alternatives), ctx...);
+    } else {
+      members(ar, std::get<i>(v), std::get<i>(alternatives), ctx...);
+    }
+  });
+}
+
+// The tripwires below hold on the one toolchain CI builds with.
+constexpr bool kPinnedLayout =
+#if defined(__GLIBCXX__) && defined(__x86_64__)
+    true;
+#else
+    false;
+#endif
 
 }  // namespace
 
-// --- shared-object identity -------------------------------------------------
+// The tripwire of a type whose members the schema reads: every member of
+// T, named in declaration order, and T's size. A new member stops the
+// build until it is serialized or named here as derived: the structured
+// binding then gets one name too few ("N names provided ... decomposes
+// into N+1 elements"), on any toolchain. The size, checked on libstdc++
+// on x86-64 (the toolchain CI builds with), also catches a member whose
+// new type changes the size of T, and with it the member's wire form.
+#define SNAPSHOT_TRIPWIRE(T, size, ...)                                     \
+  static_assert(!kPinnedLayout || sizeof(T) == (size),                      \
+                #T " changed size: serialize the new member in "            \
+                "snapshot.cc or list it there as derived, then update "     \
+                "the size");                                                \
+  static void members_of(T& x) { [[maybe_unused]] auto& [__VA_ARGS__] = x; }
 
-struct Access::Tables {
-  std::vector<std::shared_ptr<kernel::Channel>> channels;
-  std::vector<std::shared_ptr<kernel::Pipe>> pipes;
-  std::vector<std::shared_ptr<kernel::FileNode>> files;
-  std::vector<std::shared_ptr<kernel::ListenSock>> socks;
-  std::map<const void*, u32> ids;  // write side: object -> table index
+// --- the records ------------------------------------------------------------
+//
+// Each table lists a record's members in wire order. The tripwire next to
+// it names all of the type's members; its comment says which are not in
+// the table and why: host-side state, values derived on restore, and
+// members the functions below serialize by hand.
 
-  u32 id_of(const void* p) const { return ids.at(p); }
-};
+struct Access::Schema {
+  using Config = kernel::KernelConfig;
+  using Cost = metrics::CostModel;
+  using Kernel = kernel::Kernel;
+  using Process = kernel::Process;
+  using Injector = inject::FaultInjector;
+  using Watchdog = invariant::InvariantWatchdog;
 
-Access::Tables Access::collect(kernel::Kernel& k) {
-  Tables t;
-  const auto add_file = [&](const std::shared_ptr<kernel::FileNode>& n) {
-    if (n && !t.ids.contains(n.get())) {
-      t.ids[n.get()] = static_cast<u32>(t.files.size());
-      t.files.push_back(n);
+  // Fixed by the restoring kernel's construction; restore compares.
+  static constexpr auto kKernelConfig = table(
+      matched("phys_frames", &Config::phys_frames),
+      matched("require_signatures", &Config::require_signatures),
+      matched("signing_key", &Config::signing_key),
+      matched("stack_randomization", &Config::stack_randomization),
+      matched("rng_seed", &Config::rng_seed),
+      matched("stack_pages", &Config::stack_pages),
+      matched("software_tlb", &Config::software_tlb),
+      matched("tlb_entries", &Config::tlb_entries),
+      matched("tlb_ways", &Config::tlb_ways),
+      matched("eager_load", &Config::eager_load),
+      matched("record_syscall_trace", &Config::record_syscall_trace),
+      matched("capture_exit_digest", &Config::capture_exit_digest),
+      matched("trace", &Config::trace),
+      matched("trace_ring_capacity", &Config::trace_ring_capacity));
+  // By hand: cost (its own table), cores (the resolved count is compared).
+  // Host-side: dbt.
+  SNAPSHOT_TRIPWIRE(Config, 200, phys_frames, cost, require_signatures,
+                    signing_key, stack_randomization, rng_seed, stack_pages,
+                    software_tlb, tlb_entries, tlb_ways, eager_load,
+                    record_syscall_trace, capture_exit_digest, trace,
+                    trace_ring_capacity, dbt, cores);
+
+  static constexpr auto kCostModel = table(
+      matched("cycles_per_instr", &Cost::cycles_per_instr),
+      matched("tlb_hit", &Cost::tlb_hit), matched("tlb_walk", &Cost::tlb_walk),
+      matched("trap_cost", &Cost::trap_cost),
+      matched("syscall_cost", &Cost::syscall_cost),
+      matched("kernel_touch", &Cost::kernel_touch),
+      matched("demand_page", &Cost::demand_page),
+      matched("cow_copy", &Cost::cow_copy),
+      matched("icache_sync", &Cost::icache_sync),
+      matched("soft_tlb_fill", &Cost::soft_tlb_fill),
+      matched("context_switch", &Cost::context_switch),
+      matched("timeslice_instructions", &Cost::timeslice_instructions),
+      matched("ipi", &Cost::ipi),
+      matched("net_bytes_per_cycle", &Cost::net_bytes_per_cycle),
+      matched("net_request_latency", &Cost::net_request_latency));
+  SNAPSHOT_TRIPWIRE(Cost, 120, cycles_per_instr, tlb_hit, tlb_walk, trap_cost,
+                    syscall_cost, kernel_touch, demand_page, cow_copy,
+                    icache_sync, soft_tlb_fill, context_switch,
+                    timeslice_instructions, ipi, net_bytes_per_cycle,
+                    net_request_latency);
+
+  // By hand: every member (free list and frames). Host-side: fault_hooks_.
+  SNAPSHOT_TRIPWIRE(arch::PhysicalMemory, 104, num_frames_, bytes_,
+                    generations_, refcounts_, free_list_, frames_in_use_,
+                    fault_hooks_);
+
+  static constexpr auto kTlbEntry = table(
+      m("vpn", &arch::TlbEntry::vpn), m("pfn", &arch::TlbEntry::pfn),
+      m("user", &arch::TlbEntry::user),
+      m("writable", &arch::TlbEntry::writable),
+      m("no_exec", &arch::TlbEntry::no_exec),
+      m("valid", &arch::TlbEntry::valid), m("stamp", &arch::TlbEntry::stamp));
+  SNAPSHOT_TRIPWIRE(arch::TlbEntry, 24, vpn, pfn, user, writable, no_exec, valid,
+                    stamp);
+
+  static constexpr auto kTlb =
+      table(matched("ways", &arch::Tlb::ways_),
+            matched("sets", &arch::Tlb::num_sets_),
+            m("clock", &arch::Tlb::clock_), m("version", &arch::Tlb::version_));
+  // By hand: entries_. Derived: last_touched_ (set before every use).
+  SNAPSHOT_TRIPWIRE(arch::Tlb, 56, ways_, num_sets_, clock_, version_,
+                    last_touched_, entries_);
+
+  static constexpr auto kMmu =
+      table(m("cr3", &arch::Mmu::cr3_),
+            m("walk_failure_period", &arch::Mmu::walk_failure_period_),
+            m("walk_fill_count", &arch::Mmu::walk_fill_count_),
+            matched("software_tlb", &arch::Mmu::software_tlb_));
+  // By hand: itlb_, dtlb_. Host-side: pm_, stats_, cost_, trace_,
+  // fault_hooks_, the three memos (restart cold), data_memo_enabled_,
+  // inject_memo_lru_bug_.
+  SNAPSHOT_TRIPWIRE(arch::Mmu, 272, pm_, stats_, cost_, trace_, fault_hooks_,
+                    itlb_, dtlb_, fetch_memo_, read_memo_, write_memo_,
+                    data_memo_enabled_, inject_memo_lru_bug_, cr3_,
+                    walk_failure_period_, walk_fill_count_, software_tlb_);
+
+  // By hand: regs_. Host-side: mmu_, stats_, cost_, trace_, the decode and
+  // block caches (restart cold) and their enable flags.
+  SNAPSHOT_TRIPWIRE(arch::Cpu, 144, mmu_, stats_, cost_, trace_, regs_, dcache_,
+                    bcache_, dcache_enabled_, block_enabled_);
+  SNAPSHOT_TRIPWIRE(arch::Regs, 40, r, pc, flags);
+
+  // Every counter, through metrics::kCounters (whose own static_assert is
+  // the Stats tripwire).
+
+  static constexpr auto kChannel =
+      table(m("to_guest", &kernel::Channel::to_guest_),
+            m("to_host", &kernel::Channel::to_host_),
+            m("host_closed", &kernel::Channel::host_closed_),
+            m("bytes_to_host", &kernel::Channel::bytes_to_host_));
+  SNAPSHOT_TRIPWIRE(kernel::Channel, 176, to_guest_, to_host_, host_closed_,
+                    bytes_to_host_);
+
+  static constexpr auto kPipe =
+      table(m("buf", &kernel::Pipe::buf_), m("readers", &kernel::Pipe::readers_),
+            m("writers", &kernel::Pipe::writers_),
+            m("read_waiters", &kernel::Pipe::read_waiters),
+            m("write_waiters", &kernel::Pipe::write_waiters));
+  SNAPSHOT_TRIPWIRE(kernel::Pipe, 248, read_waiters, write_waiters, buf_,
+                    readers_, writers_);
+
+  static constexpr auto kFileNode = table(m("data", &kernel::FileNode::bytes));
+  SNAPSHOT_TRIPWIRE(kernel::FileNode, 24, bytes);
+  // By hand: nodes_ (a keyed container).
+  SNAPSHOT_TRIPWIRE(kernel::FileSystem, 48, nodes_);
+
+  static constexpr auto kListenSock =
+      table(m("port", &kernel::ListenSock::port),
+            m("capacity", &kernel::ListenSock::capacity),
+            m("refs", &kernel::ListenSock::refs));
+  // By hand: backlog (a counted list), accept_waiters (after it).
+  SNAPSHOT_TRIPWIRE(kernel::ListenSock, 176, port, capacity, refs, backlog,
+                    accept_waiters);
+
+  static constexpr auto kPendingConn =
+      table(ref("c2s", &kernel::ListenSock::PendingConn::c2s),
+            ref("s2c", &kernel::ListenSock::PendingConn::s2c));
+  SNAPSHOT_TRIPWIRE(kernel::ListenSock::PendingConn, 32, c2s, s2c);
+
+  static constexpr auto kVma = table(
+      m("start", &kernel::Vma::start), m("end", &kernel::Vma::end),
+      m("prot", &kernel::Vma::prot), m("kind", &kernel::Vma::kind),
+      m("name", &kernel::Vma::name),
+      opt("has_backing", "backing", &kernel::Vma::backing),
+      m("backing_offset", &kernel::Vma::backing_offset));
+  SNAPSHOT_TRIPWIRE(kernel::Vma, 72, start, end, prot, kind, name, backing,
+                    backing_offset);
+
+  static constexpr auto kSplitPair =
+      table(m("code_frame", &kernel::SplitPair::code_frame),
+            m("data_frame", &kernel::SplitPair::data_frame));
+  SNAPSHOT_TRIPWIRE(kernel::SplitPair, 8, code_frame, data_frame);
+
+  // By hand: root_ (adopted on restore), brk_end, vmas_, split_pages_.
+  // Derived: pm_, destroyed_.
+  SNAPSHOT_TRIPWIRE(kernel::AddressSpace, 96, brk_end, pm_, root_, destroyed_,
+                    vmas_, split_pages_);
+
+  // One member table per alternative, in variant order.
+  static constexpr auto kFdEntry = table(
+      table(),  // a free slot
+      table(ref("chan", &kernel::FdChannel::chan)), table(),  // FdConsole
+      table(ref("pipe", &kernel::FdPipeRead::pipe)),
+      table(ref("pipe", &kernel::FdPipeWrite::pipe)),
+      table(ref("file", &kernel::FdFile::node),
+            m("offset", &kernel::FdFile::offset),
+            m("writable", &kernel::FdFile::writable)),
+      table(ref("sock", &kernel::FdListen::sock)),
+      table(ref("rx", &kernel::FdSock::rx), ref("tx", &kernel::FdSock::tx)));
+  SNAPSHOT_TRIPWIRE(kernel::FdChannel, 16, chan);
+  SNAPSHOT_TRIPWIRE(kernel::FdPipeRead, 16, pipe);
+  SNAPSHOT_TRIPWIRE(kernel::FdPipeWrite, 16, pipe);
+  SNAPSHOT_TRIPWIRE(kernel::FdFile, 24, node, offset, writable);
+  SNAPSHOT_TRIPWIRE(kernel::FdListen, 16, sock);
+  SNAPSHOT_TRIPWIRE(kernel::FdSock, 32, rx, tx);
+  static_assert(std::is_empty_v<kernel::FdConsole>);
+
+  static constexpr auto kWaitReason =
+      table(table(),  // WaitNone
+            table(m("fd", &kernel::WaitReadFd::fd)),
+            table(m("fd", &kernel::WaitWriteFd::fd)),
+            table(m("pid", &kernel::WaitChild::pid)),
+            table(m("fd_a", &kernel::WaitSelect2::fd_a),
+                  m("fd_b", &kernel::WaitSelect2::fd_b)),
+            table());  // WaitSleep
+  SNAPSHOT_TRIPWIRE(kernel::WaitReadFd, 4, fd);
+  SNAPSHOT_TRIPWIRE(kernel::WaitWriteFd, 4, fd);
+  SNAPSHOT_TRIPWIRE(kernel::WaitChild, 4, pid);
+  SNAPSHOT_TRIPWIRE(kernel::WaitSelect2, 8, fd_a, fd_b);
+  static_assert(std::is_empty_v<kernel::WaitNone> &&
+                std::is_empty_v<kernel::WaitSleep>);
+
+  // A process record is this head, its address space, its fd table and
+  // wait reason (by hand, in that order), then the tail.
+  static constexpr auto kProcessHead = table(
+      m("pid", &Process::pid), m("parent", &Process::parent),
+      m("name", &Process::name), m("state", &Process::state),
+      m("exit_kind", &Process::exit_kind), m("exit_code", &Process::exit_code),
+      m("regs", &Process::regs));
+  // The timer wheel is never serialized: wait_deadline is the per-process
+  // authority, and restore rebuilds the wheel from it.
+  static constexpr auto kProcessTail = table(
+      m("retry_syscall", &Process::retry_syscall),
+      m("wait_deadline", &Process::wait_deadline),
+      m("timed_out", &Process::timed_out),
+      m("exit_waiters", &Process::exit_waiters),
+      opt("has_pending_split", "pending_split_vaddr",
+          &Process::pending_split_vaddr),
+      m("shell_spawned", &Process::shell_spawned),
+      opt("has_recovery", "recovery_handler", &Process::recovery_handler),
+      blob("console", &Process::console),
+      packed("syscall_trace", &Process::syscall_trace,
+             &kernel::SyscallRecord::num, &kernel::SyscallRecord::a1,
+             &kernel::SyscallRecord::a2, &kernel::SyscallRecord::a3),
+      opt("has_exit_digest", "exit_digest", &Process::exit_digest),
+      m("free_fds", &Process::free_fds),
+      m("fd_alloc_probes", &Process::fd_alloc_probes));
+  // Derived: rq_next, rq_prev, on_runqueue, rq_core (restore re-queues
+  // through RunQueue::push_back).
+  SNAPSHOT_TRIPWIRE(Process, 368, pid, parent, name, state, exit_kind, exit_code,
+                    rq_next, rq_prev, on_runqueue, rq_core, regs, as, fds,
+                    waiting, retry_syscall, wait_deadline, timed_out,
+                    exit_waiters, pending_split_vaddr, shell_spawned,
+                    recovery_handler, console, syscall_trace, exit_digest,
+                    free_fds, fd_alloc_probes);
+  SNAPSHOT_TRIPWIRE(kernel::SyscallRecord, 16, num, a1, a2, a3);
+
+  static constexpr auto kCoreSched =
+      table(m("slice_used", &Kernel::Core::slice_used),
+            opt("has_current", "current", &Kernel::Core::current),
+            opt("has_last_running", "last_running",
+                &Kernel::Core::last_running));
+  // By hand: id (compared), mmu, cpu, runqueue (re-queued in FIFO order).
+  SNAPSHOT_TRIPWIRE(Kernel::Core, 472, id, mmu, cpu, runqueue, current,
+                    last_running, slice_used);
+
+  static constexpr auto kPendingShootdown =
+      table(m("vpn", &Kernel::PendingShootdown::vpn),
+            m("root", &Kernel::PendingShootdown::root),
+            m("core_mask", &Kernel::PendingShootdown::core_mask));
+  SNAPSHOT_TRIPWIRE(Kernel::PendingShootdown, 12, vpn, root, core_mask);
+
+  static constexpr auto kKernelSched =
+      table(m("next_pid", &Kernel::next_pid_),
+            matched("live_procs", &Kernel::live_procs_),
+            m("rng_state", &Kernel::rng_state_),
+            m("active_core", &Kernel::active_core_),
+            m("quantum_used", &Kernel::quantum_used_));
+  // By hand: cfg_, pm_, stats_, cores_, pending_shootdowns_, trace_, fs_,
+  // images_, procs_, channel_waiters_, klog_, detections_. Compared:
+  // engine_ (by name), live_procs_ (recounted from the process states).
+  // Derived: trace_ptr_ (from config.trace), timers_ (from each
+  // wait_deadline), listen_ports_ (from the listen-socket table). Host
+  // attachments: fault_source_, step_observer_, shell_input_logger.
+  SNAPSHOT_TRIPWIRE(Kernel, 1776, shell_input_logger, cfg_, pm_, stats_, cores_,
+                    active_core_, quantum_used_, pending_shootdowns_, trace_,
+                    trace_ptr_, fs_, engine_, fault_source_, step_observer_,
+                    images_, procs_, live_procs_, channel_waiters_, timers_,
+                    listen_ports_, next_pid_, rng_state_, klog_,
+                    detections_);
+
+  static constexpr auto kDetectionEvent = table(
+      m("pid", &kernel::DetectionEvent::pid),
+      m("process", &kernel::DetectionEvent::process),
+      m("eip", &kernel::DetectionEvent::eip),
+      m("cycles", &kernel::DetectionEvent::cycles),
+      m("mode", &kernel::DetectionEvent::mode),
+      m("shellcode", &kernel::DetectionEvent::shellcode),
+      m("disassembly", &kernel::DetectionEvent::disassembly));
+  SNAPSHOT_TRIPWIRE(kernel::DetectionEvent, 144, pid, process, eip, cycles, mode,
+                    shellcode, disassembly);
+
+  static constexpr auto kTraceSink = table(m("pid", &trace::TraceSink::pid_));
+  // By hand: ring_, prof_. Derived: stats_ (wired at construction), core_
+  // (announced at every dispatch), enabled_ (from config.trace).
+  SNAPSHOT_TRIPWIRE(trace::TraceSink, 640, ring_, prof_, stats_, pid_, core_,
+                    enabled_);
+  // By hand: buf_ and size_ (oldest to newest), dropped_. Derived: head_
+  // (0 after restore; rotation is unobservable through the ring's API).
+  SNAPSHOT_TRIPWIRE(trace::RingBuffer<trace::Event>, 48, buf_, head_, size_,
+                    dropped_);
+
+  static constexpr auto kEvent =
+      std::tuple{&trace::Event::cycles, &trace::Event::pid,
+                 &trace::Event::vaddr, &trace::Event::info,
+                 &trace::Event::kind, &trace::Event::arg, &trace::Event::core};
+  SNAPSHOT_TRIPWIRE(trace::Event, 24, cycles, pid, vaddr, info, kind, arg, core);
+
+  static constexpr auto kProfiler =
+      table(m("event_counts", &trace::Profiler::event_counts_),
+            m("flush_epoch", &trace::Profiler::flush_epoch_),
+            m("total_cycles", &trace::Profiler::total_cycles_));
+  // By hand, before the table: buckets_, fills_, pending_step_ (keyed
+  // containers). After it: scope_, which must be closed.
+  SNAPSHOT_TRIPWIRE(trace::Profiler, 576, buckets_, fills_, pending_step_,
+                    event_counts_, flush_epoch_, total_cycles_, scope_);
+
+  static constexpr auto kFill =
+      table(m("epoch", &trace::Profiler::Fill::epoch),
+            m("invalidated", &trace::Profiler::Fill::invalidated));
+  SNAPSHOT_TRIPWIRE(trace::Profiler::Fill, 16, epoch, invalidated);
+
+  static constexpr auto kScheduledFault =
+      table(m("after", &inject::ScheduledFault::after_instruction),
+            m("kind", &inject::ScheduledFault::kind),
+            m("arg", &inject::ScheduledFault::arg));
+  SNAPSHOT_TRIPWIRE(inject::ScheduledFault, 16, after_instruction, kind, arg);
+  SNAPSHOT_TRIPWIRE(inject::FaultSchedule, 32, seed, faults);
+
+  static constexpr auto kFaultRecord =
+      table(m("fired", &Injector::Record::fired),
+            m("fired_at", &Injector::Record::fired_at),
+            opt("has_outcome", "outcome", &Injector::Record::outcome));
+  // By hand: fault (a copy of the schedule entry).
+  SNAPSHOT_TRIPWIRE(Injector::Record, 40, fault, fired, fired_at, outcome);
+
+  static constexpr auto kArmed =
+      table(m("armed_drop_flush", &Injector::armed_drop_flush_),
+            m("armed_drop_invlpg", &Injector::armed_drop_invlpg_),
+            m("armed_alloc_fail", &Injector::armed_alloc_fail_),
+            m("armed_lost_trap", &Injector::armed_lost_trap_),
+            m("armed_dup_trap", &Injector::armed_dup_trap_),
+            m("armed_preempt", &Injector::armed_preempt_),
+            m("armed_tf_clear", &Injector::armed_tf_clear_),
+            m("armed_drop_ipi", &Injector::armed_drop_ipi_),
+            m("armed_ack_no_flush", &Injector::armed_ack_no_flush_),
+            m("armed_stall", &Injector::armed_stall_),
+            m("armed_drop_conn", &Injector::armed_drop_conn_));
+  // By hand: schedule_, records_, next_ (before kArmed). Compared:
+  // kernel_.
+  SNAPSHOT_TRIPWIRE(Injector, 352, schedule_, records_, kernel_, next_,
+                    armed_drop_flush_, armed_drop_invlpg_, armed_alloc_fail_,
+                    armed_lost_trap_, armed_dup_trap_, armed_preempt_,
+                    armed_tf_clear_, armed_drop_ipi_, armed_ack_no_flush_,
+                    armed_stall_, armed_drop_conn_);
+
+  static constexpr auto kWatchdogAudit =
+      table(m("last_pid", &Watchdog::last_pid_),
+            m("steps_since_audit", &Watchdog::steps_since_audit_),
+            m("degraded_since_resolve", &Watchdog::degraded_since_resolve_));
+  static constexpr auto kWatchdogTotals =
+      table(m("violations", &Watchdog::violations_),
+            m("recoveries", &Watchdog::recoveries_),
+            m("degradations", &Watchdog::degradations_),
+            m("breaches", &Watchdog::breaches_));
+  // By hand: the two per-core version vectors (before kWatchdogAudit),
+  // repairs_ (a keyed container, between the tables). Derived:
+  // scan_vpns_ (scratch). Host attachment: injector_.
+  SNAPSHOT_TRIPWIRE(Watchdog, 168, injector_, core_itlb_versions_,
+                    core_dtlb_versions_, last_pid_, steps_since_audit_,
+                    degraded_since_resolve_, repairs_, scan_vpns_,
+                    violations_, recoveries_, degradations_, breaches_);
+
+  // --- shared objects -------------------------------------------------------
+
+  // Channels, pipes, file nodes and listen sockets, one table per type in
+  // a deterministic discovery order. A reference to one is its index in
+  // the table of its type.
+  struct Objects {
+    std::tuple<std::vector<std::shared_ptr<kernel::Channel>>,
+               std::vector<std::shared_ptr<kernel::Pipe>>,
+               std::vector<std::shared_ptr<kernel::FileNode>>,
+               std::vector<std::shared_ptr<kernel::ListenSock>>>
+        tables;
+    std::map<const void*, u32> ids;  // save side: object -> index
+
+    template <class T>
+    std::vector<std::shared_ptr<T>>& of() {
+      return std::get<std::vector<std::shared_ptr<T>>>(tables);
     }
-  };
-  const auto add_chan = [&](const std::shared_ptr<kernel::Channel>& c) {
-    if (c && !t.ids.contains(c.get())) {
-      t.ids[c.get()] = static_cast<u32>(t.channels.size());
-      t.channels.push_back(c);
-    }
-  };
-  const auto add_pipe = [&](const std::shared_ptr<kernel::Pipe>& p) {
-    if (p && !t.ids.contains(p.get())) {
-      t.ids[p.get()] = static_cast<u32>(t.pipes.size());
-      t.pipes.push_back(p);
-    }
-  };
-  const auto add_sock = [&](const std::shared_ptr<kernel::ListenSock>& s) {
-    if (s && !t.ids.contains(s.get())) {
-      t.ids[s.get()] = static_cast<u32>(t.socks.size());
-      t.socks.push_back(s);
-      // Queued-but-unaccepted connections hold pipe ends reachable only
-      // through the backlog (the client may already have closed its fd).
-      for (const kernel::ListenSock::PendingConn& conn : s->backlog) {
-        add_pipe(conn.c2s);
-        add_pipe(conn.s2c);
+
+    template <class Ar, class T>
+    void ref(Ar& ar, const char* name, std::shared_ptr<T>& p) {
+      u32 id = Ar::reading ? 0 : ids.at(p.get());
+      ar.value(name, id);
+      if constexpr (Ar::reading) {
+        ar.check(id < of<T>().size(), "reference to an unknown shared object");
+        p = of<T>()[id];
       }
     }
-  };
-  // Deterministic discovery order: filesystem nodes in path order, then
-  // every process in pid order, its fds in slot order (picks up channels,
-  // pipes, listen sockets with their backlogs, and unlinked-but-open file
-  // nodes).
-  for (const auto& [path, node] : k.fs_.nodes_) add_file(node);
-  for (const auto& up : k.procs_) {
-    for (const kernel::FdEntry& e : up->fds) {
-      if (const auto* c = std::get_if<kernel::FdChannel>(&e)) {
-        add_chan(c->chan);
-      } else if (const auto* pr = std::get_if<kernel::FdPipeRead>(&e)) {
-        add_pipe(pr->pipe);
-      } else if (const auto* pw = std::get_if<kernel::FdPipeWrite>(&e)) {
-        add_pipe(pw->pipe);
-      } else if (const auto* sk = std::get_if<kernel::FdSock>(&e)) {
-        add_pipe(sk->rx);
-        add_pipe(sk->tx);
-      } else if (const auto* l = std::get_if<kernel::FdListen>(&e)) {
-        add_sock(l->sock);
-      } else if (const auto* f = std::get_if<kernel::FdFile>(&e)) {
-        add_file(f->node);
+
+    template <class T>
+    void add(const std::shared_ptr<T>& p) {
+      if (!p || !ids.emplace(p.get(), static_cast<u32>(of<T>().size())).second) {
+        return;
+      }
+      of<T>().push_back(p);
+      if constexpr (std::is_same_v<T, kernel::ListenSock>) {
+        // Queued-but-unaccepted connections hold pipe ends reachable only
+        // through the backlog (the client may already have closed its fd).
+        for (kernel::ListenSock::PendingConn& conn : p->backlog) {
+          add_refs(conn, kPendingConn);
+        }
       }
     }
-  }
-  return t;
-}
 
-// --- per-component schema ---------------------------------------------------
-
-template <class Ar>
-void Access::config(Ar& ar, kernel::Kernel& k) {
-  const kernel::KernelConfig& c = k.cfg_;
-  ar.begin("config");
-  must_match(ar, "engine", k.engine_->name());
-  must_match(ar, "phys_frames", c.phys_frames);
-  must_match(ar, "require_signatures", c.require_signatures);
-  must_match(ar, "signing_key", c.signing_key);
-  must_match(ar, "stack_randomization", c.stack_randomization);
-  must_match(ar, "rng_seed", c.rng_seed);
-  must_match(ar, "stack_pages", c.stack_pages);
-  must_match(ar, "software_tlb", c.software_tlb);
-  must_match(ar, "tlb_entries", c.tlb_entries);
-  must_match(ar, "tlb_ways", c.tlb_ways);
-  must_match(ar, "eager_load", c.eager_load);
-  must_match(ar, "record_syscall_trace", c.record_syscall_trace);
-  must_match(ar, "capture_exit_digest", c.capture_exit_digest);
-  must_match(ar, "trace", c.trace);
-  must_match(ar, "trace_ring_capacity", c.trace_ring_capacity);
-  // The RESOLVED core count (cfg_.cores may be 0 = auto): the restoring
-  // kernel must have built the same number of cores.
-  must_match(ar, "cores", static_cast<u32>(k.cores_.size()));
-  ar.begin("cost");
-  must_match(ar, "cycles_per_instr", c.cost.cycles_per_instr);
-  must_match(ar, "tlb_hit", c.cost.tlb_hit);
-  must_match(ar, "tlb_walk", c.cost.tlb_walk);
-  must_match(ar, "trap_cost", c.cost.trap_cost);
-  must_match(ar, "syscall_cost", c.cost.syscall_cost);
-  must_match(ar, "kernel_touch", c.cost.kernel_touch);
-  must_match(ar, "demand_page", c.cost.demand_page);
-  must_match(ar, "cow_copy", c.cost.cow_copy);
-  must_match(ar, "icache_sync", c.cost.icache_sync);
-  must_match(ar, "soft_tlb_fill", c.cost.soft_tlb_fill);
-  must_match(ar, "context_switch", c.cost.context_switch);
-  must_match(ar, "timeslice_instructions", c.cost.timeslice_instructions);
-  must_match(ar, "ipi", c.cost.ipi);
-  must_match(ar, "net_bytes_per_cycle", double_bits(c.cost.net_bytes_per_cycle));
-  must_match(ar, "net_request_latency", c.cost.net_request_latency);
-  ar.end();
-  ar.end();
-}
-
-template <class Ar>
-void Access::phys(Ar& ar, arch::PhysicalMemory& pm) {
-  ar.begin("phys");
-  u32 nf = pm.num_frames_;
-  ar.value("num_frames", nf);
-  ar.check(nf == pm.num_frames_, "frame count mismatch");
-  ar.value("frames_in_use", pm.frames_in_use_);
-  u32_seq(ar, "free_list", pm.free_list_);
-  if constexpr (Ar::reading) {
-    ar.check(pm.free_list_.size() <= nf, "free list longer than memory");
-    for (const u32 pfn : pm.free_list_) {
-      ar.check(pfn < nf, "free-list pfn out of range");
+    // Adds every object the shared references of `table` reach from `c`.
+    template <class C, class Table>
+    void add_refs(C& c, const Table& t) {
+      std::apply([&](const auto&... e) { (add_ref(c, e), ...); }, t);
     }
-    std::ranges::fill(pm.refcounts_, 0u);
+    template <class C, class T>
+    void add_ref(C& c, const SharedRef<C, T>& e) {
+      add(c.*e.member);
+    }
+    template <class C, class E>
+    void add_ref(C&, const E&) {}
+  };
+
+  // Discovery order: filesystem nodes in path order, then every process
+  // in pid order, its fds in slot order (channels, pipes, listen sockets
+  // with their backlogs, and unlinked-but-open file nodes).
+  static Objects collect(Kernel& k) {
+    Objects o;
+    for (const auto& [path, node] : k.fs_.nodes_) o.add(node);
+    for (const auto& up : k.procs_) {
+      for (kernel::FdEntry& e : up->fds) {
+        with_index<std::variant_size_v<kernel::FdEntry>>(
+            e.index(), [&](auto i) {
+              o.add_refs(std::get<i>(e), std::get<i>(kFdEntry));
+            });
+      }
+    }
+    return o;
   }
-  // Only frames with a live reference carry bytes: alloc_frame() zeroes a
-  // frame on allocation, so free-frame contents are unobservable, and
-  // free-frame generations only feed host caches that restore drops cold.
-  u32 used = 0;
-  if constexpr (!Ar::reading) {
-    for (u32 p = 0; p < nf; ++p) used += pm.refcounts_[p] > 0 ? 1 : 0;
+
+  // Restore builds each object before its record is read.
+  template <class T, class Ar, class Each>
+  static void object_table(Ar& ar, const char* count_name, Objects& o,
+                           Each&& each) {
+    counted(ar, count_name, o.of<T>(), kMaxCount,
+            [&](std::shared_ptr<T>& p) {
+              if constexpr (Ar::reading) p = std::make_shared<T>();
+              each(*p);
+            });
   }
-  ar.value("used_frames", used);
-  ar.check(used <= nf, "used-frame count exceeds memory");
-  ar.check(used == pm.frames_in_use_, "frames_in_use disagrees with payload");
-  ar.check(static_cast<u64>(used) + pm.free_list_.size() == nf,
-           "free list and used frames do not cover memory");
-  if constexpr (Ar::reading) {
-    for (u32 i = 0; i < used; ++i) {
+
+  template <class Ar>
+  static void objects(Ar& ar, Objects& o) {
+    ar.begin("objects");
+    object_table<kernel::Channel>(ar, "channels", o, [&](auto& c) {
+      record(ar, "chan", c, kChannel);
+    });
+    object_table<kernel::Pipe>(ar, "pipes", o, [&](kernel::Pipe& p) {
+      record(ar, "pipe", p, kPipe);
+      ar.check(p.buf_.size() <= kernel::Pipe::kCapacity, "pipe over capacity");
+    });
+    object_table<kernel::FileNode>(ar, "files", o, [&](auto& f) {
+      record(ar, "file", f, kFileNode);
+    });
+    object_table<kernel::ListenSock>(
+        ar, "socks", o, [&](kernel::ListenSock& s) {
+          ar.begin("sock");
+          members(ar, s, kListenSock);
+          // The backlog in queue (FIFO) order.
+          counted(ar, "backlog", s.backlog, s.capacity, [&](auto& conn) {
+            record(ar, "conn", conn, kPendingConn, o);
+          });
+          field(ar, "accept_waiters", s.accept_waiters);
+          ar.end();
+        });
+    ar.end();
+  }
+
+  // --- machine components ---------------------------------------------------
+
+  template <class Ar>
+  static void config(Ar& ar, Kernel& k) {
+    ar.begin("config");
+    must_match(ar, "engine", k.engine_->name());
+    members(ar, k.cfg_, kKernelConfig);
+    // The RESOLVED core count (cfg_.cores may be 0 = auto): the restoring
+    // kernel must have built the same number of cores.
+    must_match(ar, "cores", static_cast<u32>(k.cores_.size()));
+    record(ar, "cost", k.cfg_.cost, kCostModel);
+    ar.end();
+  }
+
+  template <class Ar>
+  static void phys(Ar& ar, arch::PhysicalMemory& pm) {
+    ar.begin("phys");
+    const u32 nf = pm.num_frames_;
+    must_match(ar, "num_frames", nf);
+    field(ar, "frames_in_use", pm.frames_in_use_);
+    field(ar, "free_list", pm.free_list_);
+    if constexpr (Ar::reading) {
+      ar.check(pm.free_list_.size() <= nf, "free list longer than memory");
+      for (const u32 pfn : pm.free_list_) {
+        ar.check(pfn < nf, "free-list pfn out of range");
+      }
+      std::ranges::fill(pm.refcounts_, 0u);
+    }
+    // Only frames with a live reference carry bytes: alloc_frame() zeroes
+    // a frame on allocation, so free-frame contents are unobservable, and
+    // free-frame generations only feed host caches that restore drops
+    // cold.
+    u32 used = Ar::reading ? 0
+                           : static_cast<u32>(
+                                 nf - std::ranges::count(pm.refcounts_, 0u));
+    ar.value("used_frames", used);
+    ar.check(used == pm.frames_in_use_, "frames_in_use disagrees with payload");
+    ar.check(u64{used} + pm.free_list_.size() == nf,
+             "free list and used frames do not cover memory");
+    const auto frame = [&](u32 pfn) {
       ar.begin("frame");
-      u32 pfn = 0, rc = 0;
-      u64 gen = 0;
       ar.value("pfn", pfn);
-      ar.value("refcount", rc);
-      ar.value("generation", gen);
       ar.check(pfn < nf, "frame pfn out of range");
-      ar.check(rc > 0, "serialized frame with zero refcount");
-      ar.check(pm.refcounts_[pfn] == 0, "frame serialized twice");
-      pm.refcounts_[pfn] = rc;
-      pm.generations_[pfn] = gen;
+      // Restore zeroed every refcount above; a second record is corrupt.
+      ar.check(!Ar::reading || pm.refcounts_[pfn] == 0,
+               "frame serialized twice");
+      field(ar, "refcount", pm.refcounts_[pfn]);
+      ar.check(pm.refcounts_[pfn] > 0, "serialized frame with zero refcount");
+      field(ar, "generation", pm.generations_[pfn]);
       ar.bytes_into("data",
                     std::span<u8>(pm.bytes_.get() +
                                       static_cast<std::size_t>(pfn) * kPageSize,
                                   kPageSize));
       ar.end();
-    }
-    for (const u32 pfn : pm.free_list_) {
-      ar.check(pm.refcounts_[pfn] == 0, "free-list frame also serialized");
-    }
-  } else {
-    for (u32 p = 0; p < nf; ++p) {
-      if (pm.refcounts_[p] == 0) continue;
-      ar.begin("frame");
-      u32 pfn = p;
-      ar.value("pfn", pfn);
-      ar.value("refcount", pm.refcounts_[p]);
-      ar.value("generation", pm.generations_[p]);
-      ar.bytes("data", std::span<const u8>(
-                           pm.bytes_.get() +
-                               static_cast<std::size_t>(p) * kPageSize,
-                           kPageSize));
-      ar.end();
-    }
-  }
-  ar.end();
-}
-
-template <class Ar>
-void Access::tlb(Ar& ar, const char* name, arch::Tlb& t) {
-  ar.begin(name);
-  u32 ways = t.ways_, sets = t.num_sets_;
-  ar.value("ways", ways);
-  ar.value("sets", sets);
-  ar.check(ways == t.ways_ && sets == t.num_sets_, "TLB geometry mismatch");
-  ar.value("clock", t.clock_);
-  ar.value("version", t.version_);
-  for (arch::TlbEntry& e : t.entries_) {
-    ar.begin("entry");
-    ar.value("vpn", e.vpn);
-    ar.value("pfn", e.pfn);
-    ar.value("user", e.user);
-    ar.value("writable", e.writable);
-    ar.value("no_exec", e.no_exec);
-    ar.value("valid", e.valid);
-    ar.value("stamp", e.stamp);
-    ar.end();
-  }
-  ar.end();
-}
-
-template <class Ar>
-void Access::mmu(Ar& ar, arch::Mmu& m) {
-  ar.begin("mmu");
-  ar.value("cr3", m.cr3_);
-  ar.value("walk_failure_period", m.walk_failure_period_);
-  ar.value("walk_fill_count", m.walk_fill_count_);
-  must_match(ar, "software_tlb", m.software_tlb_);
-  tlb(ar, "itlb", m.itlb_);
-  tlb(ar, "dtlb", m.dtlb_);
-  ar.end();
-  if constexpr (Ar::reading) {
-    // Host-side translation memos restart cold (billing-identical: a memo
-    // hit bills exactly the set scan it replaces).
-    m.fetch_memo_.valid = false;
-    m.read_memo_.valid = false;
-    m.write_memo_.valid = false;
-  }
-}
-
-template <class Ar>
-void Access::stats(Ar& ar, metrics::Stats& s) {
-  ar.begin("stats");
-  for (const metrics::Counter& c : metrics::kCounters) {
-    ar.value(c.name, s.*c.field);
-  }
-  ar.end();
-}
-
-template <class Ar>
-void Access::objects(Ar& ar, Tables& t) {
-  ar.begin("objects");
-  u32 nchan = static_cast<u32>(t.channels.size());
-  ar.value("channels", nchan);
-  if constexpr (Ar::reading) {
-    t.channels.clear();
-    t.channels.reserve(nchan);
-  }
-  for (u32 i = 0; i < nchan; ++i) {
+    };
     if constexpr (Ar::reading) {
-      t.channels.push_back(std::make_shared<kernel::Channel>());
-    }
-    kernel::Channel& c = *t.channels[i];
-    ar.begin("chan");
-    byte_deque(ar, "to_guest", c.to_guest_);
-    byte_deque(ar, "to_host", c.to_host_);
-    ar.value("host_closed", c.host_closed_);
-    ar.value("bytes_to_host", c.bytes_to_host_);
-    ar.end();
-  }
-  u32 npipe = static_cast<u32>(t.pipes.size());
-  ar.value("pipes", npipe);
-  if constexpr (Ar::reading) {
-    t.pipes.clear();
-    t.pipes.reserve(npipe);
-  }
-  for (u32 i = 0; i < npipe; ++i) {
-    if constexpr (Ar::reading) {
-      t.pipes.push_back(std::make_shared<kernel::Pipe>());
-    }
-    kernel::Pipe& p = *t.pipes[i];
-    ar.begin("pipe");
-    byte_deque(ar, "buf", p.buf_);
-    ar.check(p.buf_.size() <= kernel::Pipe::kCapacity, "pipe over capacity");
-    u32 readers = static_cast<u32>(p.readers_);
-    u32 writers = static_cast<u32>(p.writers_);
-    ar.value("readers", readers);
-    ar.value("writers", writers);
-    if constexpr (Ar::reading) {
-      p.readers_ = static_cast<int>(readers);
-      p.writers_ = static_cast<int>(writers);
-    }
-    // Block (FIFO) order of the wait queues is schedule-visible state.
-    u32_seq(ar, "read_waiters", p.read_waiters);
-    u32_seq(ar, "write_waiters", p.write_waiters);
-    ar.end();
-  }
-  u32 nfile = static_cast<u32>(t.files.size());
-  ar.value("files", nfile);
-  if constexpr (Ar::reading) {
-    t.files.clear();
-    t.files.reserve(nfile);
-  }
-  for (u32 i = 0; i < nfile; ++i) {
-    if constexpr (Ar::reading) {
-      t.files.push_back(std::make_shared<kernel::FileNode>());
-    }
-    ar.begin("file");
-    ar.value("data", t.files[i]->bytes);
-    ar.end();
-  }
-  u32 nsock = static_cast<u32>(t.socks.size());
-  ar.value("socks", nsock);
-  if constexpr (Ar::reading) {
-    t.socks.clear();
-    t.socks.reserve(nsock);
-  }
-  for (u32 i = 0; i < nsock; ++i) {
-    if constexpr (Ar::reading) {
-      t.socks.push_back(std::make_shared<kernel::ListenSock>());
-    }
-    kernel::ListenSock& s = *t.socks[i];
-    ar.begin("sock");
-    ar.value("port", s.port);
-    ar.value("capacity", s.capacity);
-    u32 refs = static_cast<u32>(s.refs);
-    ar.value("refs", refs);
-    if constexpr (Ar::reading) s.refs = static_cast<int>(refs);
-    // The backlog in queue (FIFO) order: each pending connection is a
-    // pair of shared pipes referenced by table id.
-    u32 nconn = static_cast<u32>(s.backlog.size());
-    ar.value("backlog", nconn);
-    ar.check(nconn <= s.capacity, "backlog over capacity");
-    for (u32 j = 0; j < nconn; ++j) {
-      ar.begin("conn");
-      u32 c2s = 0, s2c = 0;
-      if constexpr (!Ar::reading) {
-        c2s = t.id_of(s.backlog[j].c2s.get());
-        s2c = t.id_of(s.backlog[j].s2c.get());
+      for (u32 i = 0; i < used; ++i) frame(0);  // pfn read from the stream
+      for (const u32 pfn : pm.free_list_) {
+        ar.check(pm.refcounts_[pfn] == 0, "free-list frame also serialized");
       }
-      ar.value("c2s", c2s);
-      ar.value("s2c", s2c);
-      if constexpr (Ar::reading) {
-        ar.check(c2s < t.pipes.size() && s2c < t.pipes.size(),
-                 "backlog references unknown pipe");
-        s.backlog.push_back({t.pipes[c2s], t.pipes[s2c]});
+    } else {
+      for (u32 pfn = 0; pfn < nf; ++pfn) {
+        if (pm.refcounts_[pfn] != 0) frame(pfn);
       }
-      ar.end();
     }
-    u32_seq(ar, "accept_waiters", s.accept_waiters);
     ar.end();
   }
-  ar.end();
-}
 
-template <class Ar>
-void Access::fs(Ar& ar, kernel::Kernel& k, Tables& t) {
-  ar.begin("fs");
-  u32 n = static_cast<u32>(k.fs_.nodes_.size());
-  ar.value("nodes", n);
-  if constexpr (Ar::reading) {
-    for (u32 i = 0; i < n; ++i) {
-      ar.begin("node");
-      std::string path;
-      u32 id = 0;
-      ar.value("path", path);
-      ar.value("file", id);
-      ar.check(id < t.files.size(), "fs node references unknown file");
-      ar.check(k.fs_.nodes_.emplace(path, t.files[id]).second,
-               "duplicate fs path");
-      ar.end();
-    }
-  } else {
-    for (const auto& [path, node] : k.fs_.nodes_) {
-      ar.begin("node");
-      std::string p = path;
-      u32 id = t.id_of(node.get());
-      ar.value("path", p);
-      ar.value("file", id);
-      ar.end();
+  template <class Ar>
+  static void tlb(Ar& ar, const char* name, arch::Tlb& t) {
+    ar.begin(name);
+    members(ar, t, kTlb);
+    for (arch::TlbEntry& e : t.entries_) record(ar, "entry", e, kTlbEntry);
+    ar.end();
+  }
+
+  template <class Ar>
+  static void mmu(Ar& ar, arch::Mmu& m) {
+    ar.begin("mmu");
+    members(ar, m, kMmu);
+    tlb(ar, "itlb", m.itlb_);
+    tlb(ar, "dtlb", m.dtlb_);
+    ar.end();
+    if constexpr (Ar::reading) {
+      // Host-side translation memos restart cold (billing-identical: a
+      // memo hit bills exactly the set scan it replaces).
+      m.drop_fetch_memo();
+      m.drop_data_memos();
     }
   }
-  ar.end();
-}
 
-template <class Ar>
-void Access::images(Ar& ar, kernel::Kernel& k) {
-  ar.begin("images");
-  u32 n = static_cast<u32>(k.images_.size());
-  ar.value("count", n);
-  if constexpr (Ar::reading) {
-    for (u32 i = 0; i < n; ++i) {
-      ar.begin("image");
-      std::string name;
-      std::vector<u8> blob;
-      ar.value("name", name);
-      ar.value("data", blob);
-      image::Image img;
-      try {
-        img = image::Image::deserialize(blob);
-      } catch (const std::exception& e) {
-        ar.fail(std::string("bad image payload: ") + e.what());
-      }
-      // Bypasses register_image's signature re-check: the image was already
-      // admitted when the saved kernel registered it.
-      ar.check(k.images_.emplace(name, std::move(img)).second,
-               "duplicate image name");
-      ar.end();
-    }
-  } else {
-    for (const auto& [name, img] : k.images_) {
-      ar.begin("image");
-      std::string nm = name;
-      std::vector<u8> blob = img.serialize();
-      ar.value("name", nm);
-      ar.value("data", blob);
-      ar.end();
-    }
-  }
-  ar.end();
-}
-
-template <class Ar>
-void Access::procs(Ar& ar, kernel::Kernel& k, Tables& t) {
-  ar.begin("procs");
-  u32 n = static_cast<u32>(k.procs_.size());
-  ar.value("count", n);
-  if constexpr (Ar::reading) {
-    ar.check(n < (1u << 24), "implausible process count");
-    k.procs_.reserve(n);
-  }
-  for (u32 i = 0; i < n; ++i) {
-    std::unique_ptr<kernel::Process> up;
-    if constexpr (Ar::reading) up = std::make_unique<kernel::Process>();
-    kernel::Process& p = Ar::reading ? *up : *k.procs_[i];
-    ar.begin("proc");
-    ar.value("pid", p.pid);
-    ar.check(p.pid == i + 1, "process slab out of pid order");
-    ar.value("parent", p.parent);
-    ar.value("name", p.name);
-    enum_u8(ar, "state", p.state, 3);
-    enum_u8(ar, "exit_kind", p.exit_kind, 4);
-    ar.value("exit_code", p.exit_code);
-    regs(ar, p.regs);
-
-    bool has_as = p.as != nullptr;
+  template <class Ar>
+  static void address_space(Ar& ar, arch::PhysicalMemory& pm,
+                            std::unique_ptr<kernel::AddressSpace>& as) {
+    bool has_as = as != nullptr;
     ar.value("has_as", has_as);
-    if (has_as) {
-      ar.begin("as");
-      u32 root = Ar::reading ? 0 : p.as->root_;
-      ar.value("root", root);
-      ar.check(root < k.pm_.num_frames_, "address-space root out of range");
-      if constexpr (Ar::reading) {
-        // Adopt the root that already lives in restored physical memory.
-        p.as = std::unique_ptr<kernel::AddressSpace>(new kernel::AddressSpace(
-            k.pm_, root, kernel::AddressSpace::AdoptRoot{}));
-      }
-      kernel::AddressSpace& as = *p.as;
-      ar.value("brk_end", as.brk_end);
-      u32 nv = static_cast<u32>(as.vmas_.size());
-      ar.value("vmas", nv);
-      if constexpr (Ar::reading) {
-        ar.check(nv < (1u << 20), "implausible VMA count");
-        as.vmas_.resize(nv);
-      }
-      for (u32 j = 0; j < nv; ++j) {
-        kernel::Vma& v = as.vmas_[j];
-        ar.begin("vma");
-        ar.value("start", v.start);
-        ar.value("end", v.end);
-        ar.value("prot", v.prot);
-        enum_u8(ar, "kind", v.kind, 7);
-        ar.value("name", v.name);
-        bool has_backing = v.backing != nullptr;
-        ar.value("has_backing", has_backing);
-        if (has_backing) {
-          if constexpr (Ar::reading) {
-            std::vector<u8> blob;
-            ar.value("backing", blob);
-            v.backing =
-                std::make_shared<const std::vector<u8>>(std::move(blob));
-          } else {
-            ar.bytes("backing", *v.backing);
-          }
-        }
-        ar.value("backing_offset", v.backing_offset);
-        ar.end();
-      }
-      u32 ns = static_cast<u32>(as.split_pages_.size());
-      ar.value("splits", ns);
-      if constexpr (Ar::reading) {
-        for (u32 j = 0; j < ns; ++j) {
-          ar.begin("split");
-          u32 vpn = 0;
-          kernel::SplitPair pair;
-          ar.value("vpn", vpn);
-          ar.value("code_frame", pair.code_frame);
-          ar.value("data_frame", pair.data_frame);
-          ar.check(pair.code_frame < k.pm_.num_frames_ &&
-                       pair.data_frame < k.pm_.num_frames_,
-                   "split pair frame out of range");
-          ar.check(as.split_pages_.emplace(vpn, pair).second,
-                   "duplicate split page");
-          ar.end();
-        }
-      } else {
-        for (auto& [vpn, pair] : as.split_pages_) {
-          ar.begin("split");
-          u32 v = vpn;
-          ar.value("vpn", v);
-          ar.value("code_frame", pair.code_frame);
-          ar.value("data_frame", pair.data_frame);
-          ar.end();
-        }
-      }
-      ar.end();
-    }
-
-    u32 nfd = static_cast<u32>(p.fds.size());
-    ar.value("fds", nfd);
+    if (!has_as) return;
+    ar.begin("as");
+    u32 root = Ar::reading ? 0 : as->root_;
+    ar.value("root", root);
+    ar.check(root < pm.num_frames_, "address-space root out of range");
     if constexpr (Ar::reading) {
-      ar.check(nfd < (1u << 20), "implausible fd count");
-      p.fds.resize(nfd);
+      // Adopt the root that already lives in restored physical memory.
+      as.reset(new kernel::AddressSpace(pm, root,
+                                        kernel::AddressSpace::AdoptRoot{}));
     }
-    for (u32 j = 0; j < nfd; ++j) {
+    field(ar, "brk_end", as->brk_end);
+    counted(ar, "vmas", as->vmas_, kMaxCount,
+            [&](kernel::Vma& v) { record(ar, "vma", v, kVma); });
+    keyed(ar, "splits", "split", "vpn", as->split_pages_,
+          [&](kernel::SplitPair& pair) {
+            members(ar, pair, kSplitPair);
+            ar.check(pair.code_frame < pm.num_frames_ &&
+                         pair.data_frame < pm.num_frames_,
+                     "split pair frame out of range");
+          });
+    ar.end();
+  }
+
+  template <class Ar>
+  static void process(Ar& ar, Kernel& k, Process& p, Objects& o) {
+    ar.begin("proc");
+    members(ar, p, kProcessHead);
+    address_space(ar, k.pm_, p.as);
+    counted(ar, "fds", p.fds, kMaxCount, [&](kernel::FdEntry& e) {
       ar.begin("fd");
-      u8 tag = static_cast<u8>(p.fds[j].index());
-      ar.value("tag", tag);
-      ar.check(tag < 8, "fd tag out of range");
-      switch (tag) {
-        case 0:
-          if constexpr (Ar::reading) p.fds[j] = std::monostate{};
-          break;
-        case 1: {
-          u32 id = Ar::reading
-                       ? 0
-                       : t.id_of(std::get<kernel::FdChannel>(p.fds[j]).chan.get());
-          ar.value("chan", id);
-          if constexpr (Ar::reading) {
-            ar.check(id < t.channels.size(), "fd references unknown channel");
-            p.fds[j] = kernel::FdChannel{t.channels[id]};
-          }
-          break;
+      tagged(ar, "tag", e, kFdEntry, o);
+      ar.end();
+    });
+    tagged(ar, "wait", p.waiting, kWaitReason);
+    members(ar, p, kProcessTail);
+    ar.end();
+  }
+
+  template <class Ar>
+  static void procs(Ar& ar, Kernel& k, Objects& o) {
+    ar.begin("procs");
+    counted(ar, "count", k.procs_, u64{1} << 24,
+            [&](std::unique_ptr<Process>& up) {
+              if constexpr (Ar::reading) up = std::make_unique<Process>();
+              process(ar, k, *up, o);
+              const auto slot = static_cast<u32>(&up - k.procs_.data());
+              ar.check(up->pid == slot + 1, "process slab out of pid order");
+              if constexpr (Ar::reading) k.live_procs_ += up->alive() ? 1 : 0;
+            });
+    ar.end();
+  }
+
+  template <class Ar>
+  static void sched(Ar& ar, Kernel& k) {
+    ar.begin("sched");
+    members(ar, k, kKernelSched);
+    ar.check(k.next_pid_ == k.procs_.size() + 1,
+             "next_pid disagrees with slab");
+    ar.check(k.active_core_ < k.cores_.size(), "active core out of range");
+    const auto known = [&](u32 pid) {
+      return pid >= 1 && pid <= k.procs_.size();
+    };
+    for (auto& cp : k.cores_) {
+      ar.begin("core_sched");
+      members(ar, *cp, kCoreSched);
+      ar.check((!cp->current || known(*cp->current)) &&
+                   (!cp->last_running || known(*cp->last_running)),
+               "pid out of range");
+      // The runqueue in FIFO order. Restore re-pushes through the normal
+      // path, so the intrusive links and the on_runqueue and rq_core
+      // flags are rebuilt consistently.
+      std::vector<u32> rq;
+      if constexpr (!Ar::reading) {
+        for (kernel::Process* p = cp->runqueue.head; p != nullptr;
+             p = p->rq_next) {
+          rq.push_back(p->pid);
         }
-        case 2:
-          if constexpr (Ar::reading) p.fds[j] = kernel::FdConsole{};
-          break;
-        case 3:
-        case 4: {
-          u32 id = 0;
-          if constexpr (!Ar::reading) {
-            id = tag == 3
-                     ? t.id_of(std::get<kernel::FdPipeRead>(p.fds[j]).pipe.get())
-                     : t.id_of(
-                           std::get<kernel::FdPipeWrite>(p.fds[j]).pipe.get());
-          }
-          ar.value("pipe", id);
-          if constexpr (Ar::reading) {
-            ar.check(id < t.pipes.size(), "fd references unknown pipe");
-            if (tag == 3) {
-              p.fds[j] = kernel::FdPipeRead{t.pipes[id]};
-            } else {
-              p.fds[j] = kernel::FdPipeWrite{t.pipes[id]};
-            }
-          }
-          break;
-        }
-        case 5: {
-          kernel::FdFile f;
-          if constexpr (!Ar::reading) f = std::get<kernel::FdFile>(p.fds[j]);
-          u32 id = Ar::reading ? 0 : t.id_of(f.node.get());
-          ar.value("file", id);
-          ar.value("offset", f.offset);
-          ar.value("writable", f.writable);
-          if constexpr (Ar::reading) {
-            ar.check(id < t.files.size(), "fd references unknown file");
-            f.node = t.files[id];
-            p.fds[j] = std::move(f);
-          }
-          break;
-        }
-        case 6: {
-          u32 id = Ar::reading
-                       ? 0
-                       : t.id_of(std::get<kernel::FdListen>(p.fds[j]).sock.get());
-          ar.value("sock", id);
-          if constexpr (Ar::reading) {
-            ar.check(id < t.socks.size(), "fd references unknown listen sock");
-            p.fds[j] = kernel::FdListen{t.socks[id]};
-          }
-          break;
-        }
-        case 7: {
-          u32 rx = 0, tx = 0;
-          if constexpr (!Ar::reading) {
-            rx = t.id_of(std::get<kernel::FdSock>(p.fds[j]).rx.get());
-            tx = t.id_of(std::get<kernel::FdSock>(p.fds[j]).tx.get());
-          }
-          ar.value("rx", rx);
-          ar.value("tx", tx);
-          if constexpr (Ar::reading) {
-            ar.check(rx < t.pipes.size() && tx < t.pipes.size(),
-                     "fd references unknown pipe");
-            p.fds[j] = kernel::FdSock{t.pipes[rx], t.pipes[tx]};
-          }
-          break;
+      }
+      field(ar, "runqueue", rq);
+      if constexpr (Ar::reading) {
+        for (const u32 pid : rq) {
+          kernel::Process* p = k.process(pid);
+          ar.check(p != nullptr, "runqueue references unknown pid");
+          ar.check(p->state == kernel::ProcState::kRunnable,
+                   "runqueue entry not runnable");
+          ar.check(!p->on_runqueue, "pid queued twice");
+          cp->runqueue.push_back(*p);
         }
       }
       ar.end();
     }
-
-    u8 wtag = static_cast<u8>(p.waiting.index());
-    ar.value("wait", wtag);
-    ar.check(wtag < 6, "wait tag out of range");
-    switch (wtag) {
-      case 0:
-        if constexpr (Ar::reading) p.waiting = kernel::WaitNone{};
-        break;
-      case 1: {
-        kernel::WaitReadFd w{};
-        if constexpr (!Ar::reading) w = std::get<kernel::WaitReadFd>(p.waiting);
-        ar.value("fd", w.fd);
-        if constexpr (Ar::reading) p.waiting = w;
-        break;
-      }
-      case 2: {
-        kernel::WaitWriteFd w{};
-        if constexpr (!Ar::reading) {
-          w = std::get<kernel::WaitWriteFd>(p.waiting);
-        }
-        ar.value("fd", w.fd);
-        if constexpr (Ar::reading) p.waiting = w;
-        break;
-      }
-      case 3: {
-        kernel::WaitChild w{};
-        if constexpr (!Ar::reading) w = std::get<kernel::WaitChild>(p.waiting);
-        ar.value("pid", w.pid);
-        if constexpr (Ar::reading) p.waiting = w;
-        break;
-      }
-      case 4: {
-        kernel::WaitSelect2 w{};
-        if constexpr (!Ar::reading) {
-          w = std::get<kernel::WaitSelect2>(p.waiting);
-        }
-        ar.value("fd_a", w.fd_a);
-        ar.value("fd_b", w.fd_b);
-        if constexpr (Ar::reading) p.waiting = w;
-        break;
-      }
-      case 5:
-        if constexpr (Ar::reading) p.waiting = kernel::WaitSleep{};
-        break;
-    }
-    ar.value("retry_syscall", p.retry_syscall);
-    // The timer wheel itself is never serialized: wait_deadline is the
-    // authoritative per-process record, and restore rebuilds the wheel
-    // from it (machine(), after procs are in place).
-    ar.value("wait_deadline", p.wait_deadline);
-    ar.value("timed_out", p.timed_out);
-    u32_seq(ar, "exit_waiters", p.exit_waiters);
-
-    bool has_pending = p.pending_split_vaddr.has_value();
-    ar.value("has_pending_split", has_pending);
-    if (has_pending) {
-      u32 v = Ar::reading ? 0 : *p.pending_split_vaddr;
-      ar.value("pending_split_vaddr", v);
-      if constexpr (Ar::reading) p.pending_split_vaddr = v;
-    }
-    ar.value("shell_spawned", p.shell_spawned);
-    bool has_recovery = p.recovery_handler.has_value();
-    ar.value("has_recovery", has_recovery);
-    if (has_recovery) {
-      u32 v = Ar::reading ? 0 : *p.recovery_handler;
-      ar.value("recovery_handler", v);
-      if constexpr (Ar::reading) p.recovery_handler = v;
-    }
-
-    // Console can outgrow the string cap; store as bytes.
-    if constexpr (Ar::reading) {
-      std::vector<u8> c;
-      ar.value("console", c);
-      p.console.assign(c.begin(), c.end());
-    } else {
-      ar.bytes("console",
-               std::span<const u8>(
-                   reinterpret_cast<const u8*>(p.console.data()),
-                   p.console.size()));
-    }
-
-    // Syscall trace: 4 u32 per record, packed.
-    {
-      std::vector<u32> flat;
-      if constexpr (!Ar::reading) {
-        flat.reserve(p.syscall_trace.size() * 4);
-        for (const kernel::SyscallRecord& r : p.syscall_trace) {
-          flat.push_back(r.num);
-          flat.push_back(r.a1);
-          flat.push_back(r.a2);
-          flat.push_back(r.a3);
-        }
-      }
-      u32_seq(ar, "syscall_trace", flat);
-      if constexpr (Ar::reading) {
-        ar.check(flat.size() % 4 == 0, "syscall trace length");
-        p.syscall_trace.clear();
-        p.syscall_trace.reserve(flat.size() / 4);
-        for (std::size_t j = 0; j + 3 < flat.size(); j += 4) {
-          p.syscall_trace.push_back(
-              {flat[j], flat[j + 1], flat[j + 2], flat[j + 3]});
-        }
-      }
-    }
-
-    bool has_digest = p.exit_digest.has_value();
-    ar.value("has_exit_digest", has_digest);
-    if (has_digest) {
-      if constexpr (Ar::reading) {
-        image::Digest d{};
-        ar.bytes_into("exit_digest", std::span<u8>(d.data(), d.size()));
-        p.exit_digest = d;
-      } else {
-        ar.bytes("exit_digest",
-                 std::span<const u8>(p.exit_digest->data(),
-                                     p.exit_digest->size()));
-      }
-    }
-
-    // The free-fd min-heap, canonicalized to ascending order (the pop
-    // order, which is the only observable property of the heap).
-    {
-      std::vector<u32> free_fds;
-      if constexpr (!Ar::reading) {
-        auto heap = p.free_fds;
-        while (!heap.empty()) {
-          free_fds.push_back(heap.top());
-          heap.pop();
-        }
-      }
-      u32_seq(ar, "free_fds", free_fds);
-      if constexpr (Ar::reading) {
-        for (const u32 f : free_fds) p.free_fds.push(f);
-      }
-    }
-    ar.value("fd_alloc_probes", p.fd_alloc_probes);
-    ar.end();
-    if constexpr (Ar::reading) {
-      if (p.alive()) ++k.live_procs_;
-      k.procs_.push_back(std::move(up));
-    }
-  }
-  ar.end();
-}
-
-template <class Ar>
-void Access::sched(Ar& ar, kernel::Kernel& k) {
-  ar.begin("sched");
-  ar.value("next_pid", k.next_pid_);
-  ar.check(k.next_pid_ == k.procs_.size() + 1, "next_pid disagrees with slab");
-  u32 live = k.live_procs_;
-  ar.value("live_procs", live);
-  ar.check(live == k.live_procs_, "live_procs disagrees with process states");
-  ar.value("rng_state", k.rng_state_);
-  ar.value("active_core", k.active_core_);
-  ar.check(k.active_core_ < k.cores_.size(), "active core out of range");
-  ar.value("quantum_used", k.quantum_used_);
-
-  const auto opt_pid = [&](const char* has_name, const char* pid_name,
-                           std::optional<kernel::Pid>& o) {
-    bool has = o.has_value();
-    ar.value(has_name, has);
-    if (has) {
-      u32 pid = Ar::reading ? 0 : *o;
-      ar.value(pid_name, pid);
-      if constexpr (Ar::reading) {
-        ar.check(pid >= 1 && pid <= k.procs_.size(), "pid out of range");
-        o = pid;
-      }
-    } else {
-      if constexpr (Ar::reading) o.reset();
-    }
-  };
-  // Per-core scheduler state: current/last pid, slice progress, and the
-  // runqueue in FIFO order; restore re-pushes through the normal path so
-  // the intrusive links and on_runqueue/rq_core flags are rebuilt
-  // consistently.
-  for (auto& cp : k.cores_) {
-    ar.begin("core_sched");
-    ar.value("slice_used", cp->slice_used);
-    opt_pid("has_current", "current", cp->current);
-    opt_pid("has_last_running", "last_running", cp->last_running);
-    std::vector<u32> rq;
-    if constexpr (!Ar::reading) {
-      for (kernel::Process* p = cp->runqueue.head; p != nullptr;
-           p = p->rq_next) {
-        rq.push_back(p->pid);
-      }
-    }
-    u32_seq(ar, "runqueue", rq);
-    if constexpr (Ar::reading) {
-      for (const u32 pid : rq) {
-        kernel::Process* p = k.process(pid);
-        ar.check(p != nullptr, "runqueue references unknown pid");
-        ar.check(p->state == kernel::ProcState::kRunnable,
-                 "runqueue entry not runnable");
-        ar.check(!p->on_runqueue, "pid queued twice");
-        cp->runqueue.push_back(*p);
-      }
-    }
-    ar.end();
-  }
-  // Shootdowns whose IPI retries were exhausted (armed drop faults); the
-  // watchdog completes them. Empty except mid-fault-campaign.
-  u32 nps = static_cast<u32>(k.pending_shootdowns_.size());
-  ar.value("pending_shootdowns", nps);
-  if constexpr (Ar::reading) {
-    ar.check(nps < (1u << 20), "implausible pending-shootdown count");
-    k.pending_shootdowns_.assign(nps, kernel::Kernel::PendingShootdown{});
-  }
-  for (u32 i = 0; i < nps; ++i) {
-    kernel::Kernel::PendingShootdown& ps = k.pending_shootdowns_[i];
-    ar.begin("shootdown");
-    ar.value("vpn", ps.vpn);
-    ar.value("root", ps.root);
-    ar.value("core_mask", ps.core_mask);
-    ar.end();
-  }
-  u32_seq(ar, "channel_waiters", k.channel_waiters_);
-  if constexpr (Ar::reading) {
+    // Shootdowns whose IPI retries were exhausted (armed drop faults); the
+    // watchdog completes them. Empty except mid-fault-campaign.
+    counted(ar, "pending_shootdowns", k.pending_shootdowns_, kMaxCount,
+            [&](auto& ps) { record(ar, "shootdown", ps, kPendingShootdown); });
+    field(ar, "channel_waiters", k.channel_waiters_);
     for (const u32 pid : k.channel_waiters_) {
-      ar.check(pid >= 1 && pid <= k.procs_.size(),
-               "channel waiter out of range");
+      ar.check(known(pid), "channel waiter out of range");
     }
-  }
-  ar.end();
-}
-
-template <class Ar>
-void Access::logs(Ar& ar, kernel::Kernel& k) {
-  ar.begin("log");
-  u32 n = static_cast<u32>(k.klog_.size());
-  ar.value("lines", n);
-  if constexpr (Ar::reading) k.klog_.resize(n);
-  for (u32 i = 0; i < n; ++i) ar.value("line", k.klog_[i]);
-  u32 nd = static_cast<u32>(k.detections_.size());
-  ar.value("detections", nd);
-  if constexpr (Ar::reading) k.detections_.resize(nd);
-  for (u32 i = 0; i < nd; ++i) {
-    kernel::DetectionEvent& d = k.detections_[i];
-    ar.begin("detection");
-    ar.value("pid", d.pid);
-    ar.value("process", d.process);
-    ar.value("eip", d.eip);
-    ar.value("cycles", d.cycles);
-    ar.value("mode", d.mode);
-    ar.value("shellcode", d.shellcode);
-    ar.value("disassembly", d.disassembly);
     ar.end();
   }
-  ar.end();
-}
 
-template <class Ar>
-void Access::trace_state(Ar& ar, kernel::Kernel& k) {
-  ar.begin("trace");
-  bool present = k.trace_ptr_ != nullptr;
-  ar.value("present", present);
-  if constexpr (Ar::reading) {
-    // config.trace already matched and a kernel has a sink exactly when
-    // config.trace is set, so only a corrupt stream disagrees here.
-    ar.check(present == (k.trace_ptr_ != nullptr),
-             "trace sink presence does not match config.trace");
+  template <class Ar>
+  static void logs(Ar& ar, Kernel& k) {
+    ar.begin("log");
+    counted(ar, "lines", k.klog_, u64{1} << 24,
+            [&](std::string& line) { field(ar, "line", line); });
+    counted(ar, "detections", k.detections_, kMaxCount, [&](auto& d) {
+      record(ar, "detection", d, kDetectionEvent);
+    });
+    ar.end();
   }
-  if (present && k.trace_ptr_ != nullptr) {
-    trace::TraceSink& ts = k.trace_;
-    ar.value("pid", ts.pid_);
 
-    u64 cap = ts.ring_.buf_.size();
-    ar.value("ring_capacity", cap);
-    ar.check(cap == ts.ring_.buf_.size(), "trace ring capacity mismatch");
-    u64 size = ts.ring_.size_;
+  // Events oldest to newest: head_ is 0 after restore.
+  template <class Ar>
+  static void ring(Ar& ar, trace::RingBuffer<trace::Event>& r) {
+    constexpr std::size_t kEventSize = packed_size(kEvent);
+    must_match(ar, "ring_capacity", static_cast<u64>(r.buf_.size()));
+    u64 size = r.size_;
     ar.value("ring_size", size);
-    ar.check(size <= cap, "ring size over capacity");
-    ar.value("ring_dropped", ts.ring_.dropped_);
-    // Events, canonicalized oldest-to-newest (head_ = 0 after restore —
-    // rotation is unobservable through the ring's API).
-    constexpr std::size_t kEvSize = 23;
+    ar.check(size <= r.buf_.size(), "ring size over capacity");
+    field(ar, "ring_dropped", r.dropped_);
+    std::vector<u8> blob;
+    if constexpr (!Ar::reading) {
+      blob.reserve(r.size_ * kEventSize);
+      for (std::size_t i = 0; i < r.size_; ++i) pack(blob, r[i], kEvent);
+    }
+    ar.value("events", blob);
     if constexpr (Ar::reading) {
-      std::vector<u8> blob;
-      ar.value("events", blob);
-      ar.check(blob.size() == size * kEvSize, "event payload length");
-      ts.ring_.buf_.assign(static_cast<std::size_t>(cap), trace::Event{});
-      ts.ring_.head_ = 0;
-      ts.ring_.size_ = static_cast<std::size_t>(size);
-      for (u64 i = 0; i < size; ++i) {
-        const u8* b = blob.data() + i * kEvSize;
-        trace::Event e;
-        u64 cyc = 0;
-        for (int q = 7; q >= 0; --q) cyc = cyc << 8 | b[q];
-        e.cycles = cyc;
-        e.pid = b[8] | b[9] << 8 | b[10] << 16 | static_cast<u32>(b[11]) << 24;
-        e.vaddr =
-            b[12] | b[13] << 8 | b[14] << 16 | static_cast<u32>(b[15]) << 24;
-        e.info =
-            b[16] | b[17] << 8 | b[18] << 16 | static_cast<u32>(b[19]) << 24;
-        ar.check(b[20] < static_cast<u8>(trace::EventKind::kCount),
+      ar.check(blob.size() == size * kEventSize, "event payload length");
+      r.buf_.assign(r.buf_.size(), trace::Event{});
+      r.head_ = 0;
+      r.size_ = static_cast<std::size_t>(size);
+      const u8* p = blob.data();
+      for (std::size_t i = 0; i < r.size_; ++i) {
+        unpack(p, r.buf_[i], kEvent);
+        ar.check(static_cast<u8>(r.buf_[i].kind) <
+                     kEnumCount<trace::EventKind>,
                  "event kind out of range");
-        e.kind = static_cast<trace::EventKind>(b[20]);
-        e.arg = b[21];
-        e.core = b[22];
-        ts.ring_.buf_[static_cast<std::size_t>(i)] = e;
       }
-    } else {
-      std::vector<u8> blob;
-      blob.reserve(static_cast<std::size_t>(size) * kEvSize);
-      for (u64 i = 0; i < size; ++i) {
-        const trace::Event& e = ts.ring_[static_cast<std::size_t>(i)];
-        for (int q = 0; q < 8; ++q) {
-          blob.push_back(static_cast<u8>(e.cycles >> (q * 8)));
-        }
-        for (int q = 0; q < 4; ++q) {
-          blob.push_back(static_cast<u8>(e.pid >> (q * 8)));
-        }
-        for (int q = 0; q < 4; ++q) {
-          blob.push_back(static_cast<u8>(e.vaddr >> (q * 8)));
-        }
-        for (int q = 0; q < 4; ++q) {
-          blob.push_back(static_cast<u8>(e.info >> (q * 8)));
-        }
-        blob.push_back(static_cast<u8>(e.kind));
-        blob.push_back(e.arg);
-        blob.push_back(e.core);
-      }
-      ar.bytes("events", blob);
     }
+  }
 
-    // Profiler. Unordered maps serialize in sorted key order so
-    // save -> restore -> save is byte-identical.
-    trace::Profiler& pf = ts.prof_;
-    {
-      std::vector<std::pair<u64, u64>> sorted;
-      if constexpr (!Ar::reading) {
-        sorted.assign(pf.buckets_.begin(), pf.buckets_.end());
-        std::ranges::sort(sorted);
-      }
-      u32 nb = static_cast<u32>(sorted.size());
-      ar.value("buckets", nb);
-      if constexpr (Ar::reading) {
-        pf.buckets_.clear();
-        for (u32 i = 0; i < nb; ++i) {
-          ar.begin("bucket");
-          u64 key = 0, cycles = 0;
-          ar.value("key", key);
-          ar.value("cycles", cycles);
-          ar.check(pf.buckets_.emplace(key, cycles).second,
-                   "duplicate profile bucket");
-          ar.end();
-        }
-      } else {
-        for (auto& [key, cycles] : sorted) {
-          ar.begin("bucket");
-          ar.value("key", key);
-          ar.value("cycles", cycles);
-          ar.end();
-        }
-      }
-    }
-    {
-      std::vector<std::pair<u64, trace::Profiler::Fill>> sorted;
-      if constexpr (!Ar::reading) {
-        sorted.assign(pf.fills_.begin(), pf.fills_.end());
-        std::ranges::sort(sorted, {}, [](const auto& kv) { return kv.first; });
-      }
-      u32 nf = static_cast<u32>(sorted.size());
-      ar.value("fills", nf);
-      if constexpr (Ar::reading) {
-        pf.fills_.clear();
-        for (u32 i = 0; i < nf; ++i) {
-          ar.begin("fill");
-          u64 key = 0;
-          trace::Profiler::Fill f;
-          ar.value("key", key);
-          ar.value("epoch", f.epoch);
-          ar.value("invalidated", f.invalidated);
-          ar.check(pf.fills_.emplace(key, f).second, "duplicate fill record");
-          ar.end();
-        }
-      } else {
-        for (auto& [key, f] : sorted) {
-          ar.begin("fill");
-          u64 kk = key;
-          ar.value("key", kk);
-          ar.value("epoch", f.epoch);
-          ar.value("invalidated", f.invalidated);
-          ar.end();
-        }
-      }
-    }
-    {
-      // The Algorithm-2 trace-scope hand-off: attribution for the debug
-      // trap that will close each open single-step window. Must survive
-      // serialization for mid-window snapshots to bill identically.
-      std::vector<std::pair<u32, std::pair<trace::Category, trace::Cause>>>
-          sorted;
-      if constexpr (!Ar::reading) {
-        sorted.assign(pf.pending_step_.begin(), pf.pending_step_.end());
-        std::ranges::sort(sorted, {}, [](const auto& kv) { return kv.first; });
-      }
-      u32 np = static_cast<u32>(sorted.size());
-      ar.value("pending_steps", np);
-      if constexpr (Ar::reading) {
-        pf.pending_step_.clear();
-        for (u32 i = 0; i < np; ++i) {
-          ar.begin("pending_step");
-          u32 pid = 0;
-          auto cat = trace::Category::kOther;
-          auto cause = trace::Cause::kNone;
-          ar.value("pid", pid);
-          enum_u8(ar, "category", cat,
-                  static_cast<u8>(trace::Category::kCount));
-          enum_u8(ar, "cause", cause, static_cast<u8>(trace::Cause::kCount));
-          ar.check(pf.pending_step_.emplace(pid, std::pair{cat, cause}).second,
-                   "duplicate pending step");
-          ar.end();
-        }
-      } else {
-        for (auto& [pid, cc] : sorted) {
-          ar.begin("pending_step");
-          u32 pp = pid;
-          ar.value("pid", pp);
-          enum_u8(ar, "category", cc.first,
-                  static_cast<u8>(trace::Category::kCount));
-          enum_u8(ar, "cause", cc.second,
-                  static_cast<u8>(trace::Cause::kCount));
-          ar.end();
-        }
-      }
-    }
-    u64_array(ar, "event_counts",
-              std::span<u64>(pf.event_counts_.data(), pf.event_counts_.size()));
-    ar.value("flush_epoch", pf.flush_epoch_);
-    ar.value("total_cycles", pf.total_cycles_);
+  template <class Ar>
+  static void profiler(Ar& ar, trace::Profiler& pf) {
+    keyed(ar, "buckets", "bucket", "key", pf.buckets_,
+          [&](u64& cycles) { field(ar, "cycles", cycles); });
+    keyed(ar, "fills", "fill", "key", pf.fills_,
+          [&](trace::Profiler::Fill& f) { members(ar, f, kFill); });
+    // The Algorithm-2 trace-scope hand-off: attribution for the debug
+    // trap that will close each open single-step window. Must survive
+    // serialization for mid-window snapshots to bill identically.
+    keyed(ar, "pending_steps", "pending_step", "pid", pf.pending_step_,
+          [&](std::pair<trace::Category, trace::Cause>& c) {
+            field(ar, "category", c.first);
+            field(ar, "cause", c.second);
+          });
+    members(ar, pf, kProfiler);
     bool scope_active = pf.scope_.active;
     ar.value("scope_active", scope_active);
     ar.check(!scope_active, "snapshot taken inside an open trace scope");
     if constexpr (Ar::reading) pf.scope_ = trace::Profiler::Scope{};
   }
-  ar.end();
-}
 
-template <class Ar>
-void Access::injector(Ar& ar, kernel::Kernel& k, inject::FaultInjector* inj) {
-  ar.begin("injector");
-  bool present = inj != nullptr;
-  ar.value("present", present);
-  if constexpr (Ar::reading) {
-    ar.check(present == (inj != nullptr),
-             "fault-injector attachment mismatch: attach the same hooks "
-             "before restoring");
+  template <class Ar>
+  static void trace_state(Ar& ar, Kernel& k) {
+    ar.begin("trace");
+    // config.trace already matched, and a kernel has a sink exactly when
+    // config.trace is set, so only a corrupt stream disagrees here.
+    must_match(ar, "present", k.trace_ptr_ != nullptr,
+               "trace sink presence does not match config.trace");
+    if (k.trace_ptr_ != nullptr) {
+      members(ar, k.trace_, kTraceSink);
+      ring(ar, k.trace_.ring_);
+      profiler(ar, k.trace_.prof_);
+    }
+    ar.end();
   }
-  if (present && inj != nullptr) {
-    if constexpr (Ar::reading) {
+
+  template <class Ar>
+  static void injector(Ar& ar, Kernel& k, Injector* inj) {
+    ar.begin("injector");
+    must_match(ar, "present", inj != nullptr,
+               "fault-injector attachment mismatch: attach the same hooks "
+               "before restoring");
+    if (inj != nullptr) {
       ar.check(inj->kernel_ == &k, "injector not attached to this kernel");
-    }
-    ar.value("seed", inj->schedule_.seed);
-    u32 n = static_cast<u32>(inj->schedule_.faults.size());
-    ar.value("faults", n);
-    if constexpr (Ar::reading) {
-      ar.check(n < (1u << 24), "implausible fault count");
-      inj->schedule_.faults.resize(n);
-      inj->records_.assign(n, inject::FaultInjector::Record{});
-    }
-    for (u32 i = 0; i < n; ++i) {
-      inject::ScheduledFault& f = inj->schedule_.faults[i];
-      ar.begin("fault");
-      ar.value("after", f.after_instruction);
-      enum_u8(ar, "kind", f.kind, static_cast<u8>(inject::FaultKind::kCount));
-      ar.value("arg", f.arg);
-      ar.end();
-      if constexpr (Ar::reading) inj->records_[i].fault = f;
-    }
-    for (u32 i = 0; i < n; ++i) {
-      inject::FaultInjector::Record& r = inj->records_[i];
-      ar.begin("record");
-      ar.value("fired", r.fired);
-      ar.value("fired_at", r.fired_at);
-      bool has_outcome = r.outcome.has_value();
-      ar.value("has_outcome", has_outcome);
-      if (has_outcome) {
-        auto o = Ar::reading ? inject::Outcome::kRecovered : *r.outcome;
-        enum_u8(ar, "outcome", o, 3);
-        if constexpr (Ar::reading) r.outcome = o;
-      } else {
-        if constexpr (Ar::reading) r.outcome.reset();
-      }
-      ar.end();
-    }
-    ar.value("next", inj->next_);
-    ar.check(inj->next_ <= n, "schedule cursor past the end");
-    const auto armed = [&](const char* name, std::vector<u32>& q) {
-      u32_seq(ar, name, q);
+      field(ar, "seed", inj->schedule_.seed);
+      std::vector<inject::ScheduledFault>& faults = inj->schedule_.faults;
+      counted(ar, "faults", faults, u64{1} << 24, [&](auto& f) {
+        record(ar, "fault", f, kScheduledFault);
+      });
       if constexpr (Ar::reading) {
-        for (const u32 i : q) ar.check(i < n, "armed index out of range");
+        inj->records_.assign(faults.size(), Injector::Record{});
+        for (std::size_t i = 0; i < faults.size(); ++i) {
+          inj->records_[i].fault = faults[i];
+        }
       }
-    };
-    armed("armed_drop_flush", inj->armed_drop_flush_);
-    armed("armed_drop_invlpg", inj->armed_drop_invlpg_);
-    armed("armed_alloc_fail", inj->armed_alloc_fail_);
-    armed("armed_lost_trap", inj->armed_lost_trap_);
-    armed("armed_dup_trap", inj->armed_dup_trap_);
-    armed("armed_preempt", inj->armed_preempt_);
-    armed("armed_tf_clear", inj->armed_tf_clear_);
-    armed("armed_drop_ipi", inj->armed_drop_ipi_);
-    armed("armed_ack_no_flush", inj->armed_ack_no_flush_);
-    armed("armed_stall", inj->armed_stall_);
-    armed("armed_drop_conn", inj->armed_drop_conn_);
+      for (Injector::Record& r : inj->records_) {
+        record(ar, "record", r, kFaultRecord);
+      }
+      field(ar, "next", inj->next_);
+      ar.check(inj->next_ <= faults.size(), "schedule cursor past the end");
+      members(ar, *inj, kArmed);
+      std::apply(
+          [&](const auto&... q) {
+            for (const auto* armed : {&(inj->*q.member)...}) {
+              for (const u32 i : *armed) {
+                ar.check(i < faults.size(), "armed index out of range");
+              }
+            }
+          },
+          kArmed);
+    }
+    ar.end();
   }
-  ar.end();
-}
 
-template <class Ar>
-void Access::watchdog(Ar& ar, invariant::InvariantWatchdog* wd) {
-  ar.begin("watchdog");
-  bool present = wd != nullptr;
-  ar.value("present", present);
-  if constexpr (Ar::reading) {
-    ar.check(present == (wd != nullptr),
-             "watchdog attachment mismatch: attach the same hooks before "
-             "restoring");
+  template <class Ar>
+  static void watchdog(Ar& ar, Watchdog* wd) {
+    ar.begin("watchdog");
+    must_match(ar, "present", wd != nullptr,
+               "watchdog attachment mismatch: attach the same hooks before "
+               "restoring");
+    if (wd != nullptr) {
+      // Per-core TLB version counters at the last audit (lazily sized in
+      // pre_step, so the vectors may legitimately be empty or short).
+      for (auto [name, versions] :
+           {std::pair{"itlb_versions", &wd->core_itlb_versions_},
+            std::pair{"dtlb_versions", &wd->core_dtlb_versions_}}) {
+        counted(ar, name, *versions, 32,
+                [&](u64& v) { field(ar, "version", v); });
+      }
+      members(ar, *wd, kWatchdogAudit);
+      keyed(ar, "repairs", "repair", "key", wd->repairs_,
+            [&](u32& count) { field(ar, "count", count); });
+      members(ar, *wd, kWatchdogTotals);
+      if constexpr (Ar::reading) wd->scan_vpns_.clear();
+    }
+    ar.end();
   }
-  if (present && wd != nullptr) {
-    // Per-core TLB version counters at the last audit (lazily sized in
-    // pre_step, so the vectors may legitimately be empty or short).
-    const auto version_vec = [&](const char* name, std::vector<u64>& v) {
-      u32 nc = static_cast<u32>(v.size());
-      ar.value(name, nc);
-      if constexpr (Ar::reading) {
-        ar.check(nc <= 32, "implausible watchdog core count");
-        v.assign(nc, 0);
-      }
-      for (u32 i = 0; i < nc; ++i) ar.value("version", v[i]);
-    };
-    version_vec("itlb_versions", wd->core_itlb_versions_);
-    version_vec("dtlb_versions", wd->core_dtlb_versions_);
-    ar.value("last_pid", wd->last_pid_);
-    ar.value("steps_since_audit", wd->steps_since_audit_);
-    ar.value("degraded_since_resolve", wd->degraded_since_resolve_);
-    u32 n = static_cast<u32>(wd->repairs_.size());
-    ar.value("repairs", n);
+
+  // --- the whole machine ----------------------------------------------------
+
+  template <class Ar>
+  static void machine(Ar& ar, Kernel& k, Injector* inj, Watchdog* wd) {
+    ar.begin("machine");
+    config(ar, k);
+    // Release the old state into the OLD (still consistent) physical
+    // memory before frames are overwritten.
+    if constexpr (Ar::reading) teardown(k, /*leak_frames=*/false);
+    phys(ar, k.pm_);
+    // One machine group per core: its private MMU (both TLBs) and register
+    // file. The config "cores" key already guaranteed matching counts.
+    for (auto& cp : k.cores_) {
+      ar.begin("core");
+      must_match(ar, "id", cp->id);
+      mmu(ar, cp->mmu);
+      ar.begin("cpu");
+      field(ar, "regs", cp->cpu.regs());
+      ar.end();
+      ar.end();
+    }
+    ar.begin("stats");
+    for (const metrics::Counter& c : metrics::kCounters) {
+      field(ar, c.name, k.stats_.*c.field);
+    }
+    ar.end();
+    Objects o;
+    if constexpr (!Ar::reading) o = collect(k);
+    objects(ar, o);
+    ar.begin("fs");
+    keyed(ar, "nodes", "node", "path", k.fs_.nodes_,
+          [&](std::shared_ptr<kernel::FileNode>& n) { o.ref(ar, "file", n); });
+    ar.end();
+    ar.begin("images");
+    // Restore bypasses register_image's signature re-check: each image was
+    // admitted when the saved kernel registered it.
+    keyed(ar, "count", "image", "name", k.images_,
+          [&](image::Image& img) { field(ar, "data", img); });
+    ar.end();
+    procs(ar, k, o);
     if constexpr (Ar::reading) {
-      wd->repairs_.clear();
-      for (u32 i = 0; i < n; ++i) {
-        ar.begin("repair");
-        u64 key = 0;
-        u32 count = 0;
-        ar.value("key", key);
-        ar.value("count", count);
-        ar.check(wd->repairs_.emplace(key, count).second, "duplicate repair");
-        ar.end();
+      // The derived indexes: the port registry (every live ListenSock is
+      // held by >=1 fd, so the object table is complete) and the timer
+      // wheel (wait_deadline is the per-process authority).
+      for (const auto& s : o.of<kernel::ListenSock>()) {
+        ar.check(k.listen_ports_.emplace(s->port, s).second,
+                 "duplicate listen port");
       }
-      wd->scan_vpns_.clear();
-    } else {
-      for (auto& [key, count] : wd->repairs_) {
-        ar.begin("repair");
-        u64 kk = key;
-        ar.value("key", kk);
-        ar.value("count", count);
-        ar.end();
+      for (const auto& up : k.procs_) {
+        if (up->wait_deadline != 0) {
+          k.timers_.insert({up->wait_deadline, up->pid});
+        }
       }
     }
-    ar.value("violations", wd->violations_);
-    ar.value("recoveries", wd->recoveries_);
-    ar.value("degradations", wd->degradations_);
-    ar.value("breaches", wd->breaches_);
+    sched(ar, k);
+    logs(ar, k);
+    trace_state(ar, k);
+    injector(ar, k, inj);
+    watchdog(ar, wd);
+    ar.end();
+    if constexpr (Ar::reading) {
+      // Host-side decode/block caches restart cold; the billing-identity
+      // contract (fuzz-oracle enforced) makes a cold resume bit-identical
+      // in simulated figures — only host wall-clock re-warms.
+      for (auto& cp : k.cores_) {
+        cp->cpu.decode_cache().clear();
+        cp->cpu.block_cache().clear();
+      }
+    }
   }
-  ar.end();
-}
 
-// --- whole-machine schema + restore safety ---------------------------------
-
-template <class Ar>
-void Access::machine(Ar& ar, kernel::Kernel& k, inject::FaultInjector* inj,
-                     invariant::InvariantWatchdog* wd) {
-  ar.begin("machine");
-  config(ar, k);
-  if constexpr (Ar::reading) {
-    // Teardown: release the old state into the OLD (still consistent)
-    // physical memory before frames are overwritten.
+  // Releases the state a restore replaces. After a failed restore the
+  // page tables may be corrupt, so `leak_frames` makes the address spaces
+  // leak their frames instead of walking them: the machine is unusable
+  // but safely destructible.
+  static void teardown(Kernel& k, bool leak_frames) {
+    if (leak_frames) {
+      for (auto& up : k.procs_) {
+        if (up && up->as) up->as->destroyed_ = true;
+      }
+    }
     k.procs_.clear();
     for (auto& cp : k.cores_) {
-      cp->runqueue = kernel::Kernel::RunQueue{};
+      cp->runqueue = Kernel::RunQueue{};
       cp->runqueue.core_id = cp->id;
       cp->current.reset();
       cp->last_running.reset();
@@ -1332,6 +1409,7 @@ void Access::machine(Ar& ar, kernel::Kernel& k, inject::FaultInjector* inj,
     }
     k.active_core_ = 0;
     k.quantum_used_ = 0;
+    k.live_procs_ = 0;
     k.pending_shootdowns_.clear();
     k.channel_waiters_.clear();
     k.timers_.clear();
@@ -1340,159 +1418,61 @@ void Access::machine(Ar& ar, kernel::Kernel& k, inject::FaultInjector* inj,
     k.fs_ = kernel::FileSystem{};
     k.klog_.clear();
     k.detections_.clear();
-    k.live_procs_ = 0;
   }
-  phys(ar, k.pm_);
-  // One machine group per core: its private MMU (both TLBs) and register
-  // file. The config "cores" key already guaranteed matching counts.
-  for (auto& cp : k.cores_) {
-    ar.begin("core");
-    u32 id = cp->id;
-    ar.value("id", id);
-    ar.check(id == cp->id, "core id mismatch");
-    mmu(ar, cp->mmu);
-    ar.begin("cpu");
-    regs(ar, cp->cpu.regs());
-    ar.end();
-    ar.end();
-  }
-  stats(ar, k.stats_);
-  Tables t;
-  if constexpr (!Ar::reading) t = collect(k);
-  objects(ar, t);
-  fs(ar, k, t);
-  images(ar, k);
-  procs(ar, k, t);
-  if constexpr (Ar::reading) {
-    // Rebuild the derived kernel indexes the snapshot deliberately omits:
-    // the port registry (every live ListenSock is held by >=1 fd, so the
-    // object table is complete) and the timer wheel (wait_deadline is the
-    // per-process authority).
-    for (const auto& s : t.socks) {
-      ar.check(k.listen_ports_.emplace(s->port, s).second,
-               "duplicate listen port");
-    }
+
+  // Restore-side proof that tearing the restored machine down can never
+  // throw from a destructor: every frame's refcount must equal exactly
+  // the references the address spaces release on teardown
+  // (AddressSpace::for_each_frame_ref), and every listen socket's
+  // refcount the fd slots that hold it. So a structurally valid but
+  // semantically corrupt snapshot still cannot break teardown. Each table
+  // frame is range-checked before the walk reads it.
+  static void validate_consistency(Kernel& k) {
+    const arch::PhysicalMemory& pm = k.pm_;
+    const u32 nf = pm.num_frames_;
+    std::vector<u32> expected(nf, 0);
+    const auto count = [&](u32 pfn) {
+      if (pfn >= nf) {
+        throw SnapshotError("page-table reference to frame " +
+                            std::to_string(pfn) + " out of range");
+      }
+      ++expected[pfn];
+    };
     for (const auto& up : k.procs_) {
-      if (up->wait_deadline != 0) {
-        k.timers_.insert({up->wait_deadline, up->pid});
+      if (up->as) up->as->for_each_frame_ref(count, count);
+    }
+    for (u32 p = 0; p < nf; ++p) {
+      if (expected[p] != pm.refcounts_[p]) {
+        throw SnapshotError(
+            "frame refcounts inconsistent with restored page tables (frame " +
+            std::to_string(p) + ": expected " + std::to_string(expected[p]) +
+            ", recorded " + std::to_string(pm.refcounts_[p]) + ")");
       }
     }
-  }
-  sched(ar, k);
-  logs(ar, k);
-  trace_state(ar, k);
-  injector(ar, k, inj);
-  watchdog(ar, wd);
-  ar.end();
-  if constexpr (Ar::reading) {
-    // Host-side decode/block caches restart cold; the billing-identity
-    // contract (fuzz-oracle enforced) makes a cold resume bit-identical in
-    // simulated figures — only host wall-clock re-warms.
-    for (auto& cp : k.cores_) {
-      cp->cpu.decode_cache().clear();
-      cp->cpu.block_cache().clear();
-    }
-  }
-}
-
-void Access::validate_consistency(kernel::Kernel& k) {
-  // Every frame's restored refcount must equal exactly the references the
-  // address spaces will release on teardown (root + second-level tables +
-  // one per non-split mapping + both frames of each split pair). Equality
-  // proves ~AddressSpace can never double-unref — i.e. a structurally
-  // valid but semantically corrupt snapshot still can't break teardown.
-  // Tables are read through the const frame view (no generation bumps),
-  // and every frame is range-checked by count() before it is read.
-  const arch::PhysicalMemory& pm = k.pm_;
-  const u32 nf = pm.num_frames_;
-  std::vector<u32> expected(nf, 0);
-  const auto count = [&](u32 pfn, const char* what) {
-    if (pfn >= nf) throw SnapshotError(std::string(what) + " out of range");
-    ++expected[pfn];
-  };
-  const auto entry = [](std::span<const u8> table, u32 i) {
-    u32 raw = 0;
-    std::memcpy(&raw, table.data() + i * 4, 4);  // little-endian, as read32
-    return arch::Pte{raw};
-  };
-  for (const auto& up : k.procs_) {
-    if (!up->as) continue;
-    kernel::AddressSpace& as = *up->as;
-    count(as.root_, "page-directory frame");
-    const std::span<const u8> dir = pm.frame_bytes(as.root_);
-    for (u32 di = 0; di < 1024; ++di) {
-      const arch::Pte pde = entry(dir, di);
-      if (!pde.present()) continue;
-      count(pde.pfn(), "page-table frame");
-      const std::span<const u8> table = pm.frame_bytes(pde.pfn());
-      for (u32 ti = 0; ti < 1024; ++ti) {
-        const arch::Pte pte = entry(table, ti);
-        if (!pte.present()) continue;
-        const u32 vpn = (di << 10) | ti;
-        if (!as.split_pages_.contains(vpn)) {
-          count(pte.pfn(), "mapped frame");
+    std::map<const kernel::ListenSock*, int> listen_refs;
+    for (const auto& up : k.procs_) {
+      for (const kernel::FdEntry& e : up->fds) {
+        if (const auto* l = std::get_if<kernel::FdListen>(&e)) {
+          ++listen_refs[l->sock.get()];
         }
       }
     }
-    for (const auto& [vpn, pair] : as.split_pages_) {
-      count(pair.code_frame, "split code frame");
-      count(pair.data_frame, "split data frame");
-    }
-  }
-  for (u32 p = 0; p < nf; ++p) {
-    if (expected[p] != pm.refcounts_[p]) {
-      throw SnapshotError(
-          "frame refcounts inconsistent with restored page tables (frame " +
-          std::to_string(p) + ": expected " + std::to_string(expected[p]) +
-          ", recorded " + std::to_string(pm.refcounts_[p]) + ")");
-    }
-  }
-  // Listen-socket refcounts must equal the FdListen slots that reference
-  // them — the count release_fd will decrement on teardown.
-  std::map<const kernel::ListenSock*, int> listen_refs;
-  for (const auto& up : k.procs_) {
-    for (const kernel::FdEntry& e : up->fds) {
-      if (const auto* l = std::get_if<kernel::FdListen>(&e)) {
-        ++listen_refs[l->sock.get()];
+    for (const auto& [port, sock] : k.listen_ports_) {
+      if (sock->refs != listen_refs[sock.get()]) {
+        throw SnapshotError(
+            "listen-sock refcount inconsistent with fd table (port " +
+            std::to_string(port) + ")");
       }
     }
   }
-  for (const auto& [port, sock] : k.listen_ports_) {
-    if (sock->refs != listen_refs[sock.get()]) {
-      throw SnapshotError("listen-sock refcount inconsistent with fd table "
-                          "(port " +
-                          std::to_string(port) + ")");
-    }
-  }
-}
+};
 
-void Access::neutralize(kernel::Kernel& k) {
-  // A half-restored machine is unusable; make it safely destructible by
-  // leaking simulated frames instead of walking possibly-corrupt tables.
-  for (auto& up : k.procs_) {
-    if (up && up->as) up->as->destroyed_ = true;
-  }
-  k.procs_.clear();
-  for (auto& cp : k.cores_) {
-    cp->runqueue = kernel::Kernel::RunQueue{};
-    cp->runqueue.core_id = cp->id;
-    cp->current.reset();
-    cp->last_running.reset();
-    cp->slice_used = 0;
-  }
-  k.active_core_ = 0;
-  k.quantum_used_ = 0;
-  k.pending_shootdowns_.clear();
-  k.channel_waiters_.clear();
-  k.timers_.clear();
-  k.listen_ports_.clear();
-  k.live_procs_ = 0;
-}
+#undef SNAPSHOT_TRIPWIRE
 
 void Access::save(std::ostream& os, kernel::Kernel& k,
                   inject::FaultInjector* inj, invariant::InvariantWatchdog* wd) {
   Writer ar(os);
-  machine(ar, k, inj, wd);
+  Schema::machine(ar, k, inj, wd);
   os.flush();
   if (!os) throw SnapshotError("write failed (stream error)");
 }
@@ -1502,24 +1482,12 @@ void Access::restore(std::istream& is, kernel::Kernel& k,
                      invariant::InvariantWatchdog* wd) {
   try {
     Reader ar(is);
-    machine(ar, k, inj, wd);
-    validate_consistency(k);
+    Schema::machine(ar, k, inj, wd);
+    Schema::validate_consistency(k);
   } catch (...) {
-    neutralize(k);
+    Schema::teardown(k, /*leak_frames=*/true);
     throw;
   }
-}
-
-void save_system(std::ostream& os, kernel::Kernel& k,
-                 inject::FaultInjector* injector,
-                 invariant::InvariantWatchdog* watchdog) {
-  Access::save(os, k, injector, watchdog);
-}
-
-void restore_system(std::istream& is, kernel::Kernel& k,
-                    inject::FaultInjector* injector,
-                    invariant::InvariantWatchdog* watchdog) {
-  Access::restore(is, k, injector, watchdog);
 }
 
 }  // namespace sm::snapshot

@@ -35,16 +35,8 @@
 
 #include <iosfwd>
 
-namespace sm::arch {
-class Mmu;
-class PhysicalMemory;
-class Tlb;
-}  // namespace sm::arch
 namespace sm::kernel {
 class Kernel;
-}
-namespace sm::metrics {
-struct Stats;
 }
 namespace sm::inject {
 class FaultInjector;
@@ -55,11 +47,23 @@ class InvariantWatchdog;
 
 namespace sm::snapshot {
 
-// The single friend the stateful classes grant. All serializer code that
-// needs private state goes through here, so the friend surface of each
-// component is one line. The per-component schema functions are member
-// templates over the archive type (Writer or Reader), so save and restore
-// share one schema and cannot drift.
+// The single friend the stateful classes grant, so the friend surface of
+// each component is one line. Everything else lives in Access::Schema
+// (snapshot.cc):
+//
+//   - each record's member table: (wire name, member pointer) entries,
+//     written by save and read by restore from the same declaration;
+//   - one helper per repeated shape: keyed container, has_X + value
+//     optional, counted list, tagged variant, shared object referenced by
+//     table id;
+//   - a tripwire per struct or class whose members it reads: every
+//     member named in a structured binding, and a sizeof check pinned to
+//     libstdc++ on x86-64. A new member stops the build until it is
+//     serialized or listed there as derived.
+//
+// Only restore-side construction of live objects keeps separate read and
+// write code: the shared-object tables, adopting an address-space root,
+// the free list and frames, and re-queueing the runqueues.
 struct Access {
   static void save(std::ostream& os, kernel::Kernel& k,
                    inject::FaultInjector* injector,
@@ -69,61 +73,7 @@ struct Access {
                       invariant::InvariantWatchdog* watchdog);
 
  private:
-  // Shared-object identity tables (channels/pipes/file nodes), built in a
-  // deterministic discovery order; fd entries reference objects by index.
-  struct Tables;
-  static Tables collect(kernel::Kernel& k);
-
-  template <class Ar>
-  static void machine(Ar& ar, kernel::Kernel& k,
-                      inject::FaultInjector* injector,
-                      invariant::InvariantWatchdog* watchdog);
-  template <class Ar>
-  static void config(Ar& ar, kernel::Kernel& k);
-  template <class Ar>
-  static void phys(Ar& ar, arch::PhysicalMemory& pm);
-  template <class Ar>
-  static void tlb(Ar& ar, const char* name, arch::Tlb& t);
-  template <class Ar>
-  static void mmu(Ar& ar, arch::Mmu& m);
-  template <class Ar>
-  static void stats(Ar& ar, metrics::Stats& s);
-  template <class Ar>
-  static void objects(Ar& ar, Tables& t);
-  template <class Ar>
-  static void fs(Ar& ar, kernel::Kernel& k, Tables& t);
-  template <class Ar>
-  static void images(Ar& ar, kernel::Kernel& k);
-  template <class Ar>
-  static void procs(Ar& ar, kernel::Kernel& k, Tables& t);
-  template <class Ar>
-  static void sched(Ar& ar, kernel::Kernel& k);
-  template <class Ar>
-  static void logs(Ar& ar, kernel::Kernel& k);
-  template <class Ar>
-  static void trace_state(Ar& ar, kernel::Kernel& k);
-  template <class Ar>
-  static void injector(Ar& ar, kernel::Kernel& k, inject::FaultInjector* inj);
-  template <class Ar>
-  static void watchdog(Ar& ar, invariant::InvariantWatchdog* wd);
-
-  // Restore-side structural proof that tearing the restored machine down
-  // can never throw from a destructor: every frame's restored refcount must
-  // equal exactly the references the address spaces will release.
-  static void validate_consistency(kernel::Kernel& k);
-  // On a failed restore, make the half-restored kernel safely destructible.
-  static void neutralize(kernel::Kernel& k);
+  struct Schema;
 };
-
-// Free-function faces of Kernel::save/Kernel::restore for embedders that
-// hold the injector/watchdog by concrete type. Kernel::save() discovers
-// attached hooks via its FaultSource/StepObserver pointers; these let a
-// caller be explicit instead.
-void save_system(std::ostream& os, kernel::Kernel& k,
-                 inject::FaultInjector* injector = nullptr,
-                 invariant::InvariantWatchdog* watchdog = nullptr);
-void restore_system(std::istream& is, kernel::Kernel& k,
-                    inject::FaultInjector* injector = nullptr,
-                    invariant::InvariantWatchdog* watchdog = nullptr);
 
 }  // namespace sm::snapshot

@@ -11,12 +11,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <streambuf>
 #include <string>
 #include <vector>
 
+#include "arch/pte.h"
 #include "snapshot/replay_support.h"
 #include "snapshot/serializer.h"
 
@@ -298,6 +300,95 @@ TEST(SnapshotRoundtrip, ShortWriteMakesSaveThrow) {
   std::ostream os(&buf);
   r.k->save(os);
   EXPECT_EQ(buf.bytes(), blob);
+}
+
+// The blob with the key of its second `group` record overwritten by the
+// first one's: restore meets one key twice in the same keyed container
+// (when both records belong to it). A record header on the wire is
+// [kind][name length][name], and the key is the group's first field.
+std::string repeat_first_key(std::string blob, const std::string& group,
+                             const std::string& key,
+                             snapshot::FieldKind kind) {
+  const auto header = [](snapshot::FieldKind k, const std::string& name) {
+    return std::string{static_cast<char>(k), static_cast<char>(name.size())} +
+           name;
+  };
+  const std::string keyed =
+      header(snapshot::FieldKind::kGroupBegin, group) + header(kind, key);
+  const std::size_t width = kind == snapshot::FieldKind::kU32 ? 4 : 8;
+  const std::size_t first = blob.find(keyed);
+  const std::size_t second = blob.find(keyed, first + keyed.size());
+  EXPECT_NE(second, std::string::npos) << "fewer than two '" << group << "'";
+  if (second != std::string::npos) {
+    blob.replace(second + keyed.size(), width,
+                 blob.substr(first + keyed.size(), width));
+  }
+  return blob;
+}
+
+// Every keyed container refuses a repeated key, and the error names the
+// record: split pages per address space, and the profiler's buckets.
+TEST(SnapshotRoundtrip, RepeatedKeyIsRefusedNamingTheRecord) {
+  struct Case {
+    bool trace;
+    const char* group;
+    const char* key;
+    snapshot::FieldKind kind;
+  };
+  for (const Case& c : {Case{false, "split", "vpn", snapshot::FieldKind::kU32},
+                        Case{true, "bucket", "key", snapshot::FieldKind::kU64}}) {
+    const kernel::KernelConfig cfg = snapshot_test_cfg(c.trace);
+    const std::string bad =
+        repeat_first_key(mid_run_blob(cfg), c.group, c.key, c.kind);
+    auto r = boot(cfg);
+    std::istringstream is(bad);
+    try {
+      r.k->restore(is);
+      ADD_FAILURE() << "a repeated '" << c.group << "' key was accepted";
+    } catch (const snapshot::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("duplicate '") +
+                                           c.group + "' key"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// A page-directory entry pointing past the end of memory is refused with
+// SnapshotError when restore counts the frame references, before the walk
+// reads the table it names (reading it would be out of range).
+TEST(SnapshotRoundtrip, CorruptDirectoryEntryIsRefusedBeforeItsTableIsRead) {
+  const kernel::KernelConfig cfg = snapshot_test_cfg();
+  std::string blob = mid_run_blob(cfg);
+  const auto le32 = [](arch::u32 v) {
+    std::string b(4, '\0');
+    std::memcpy(b.data(), &v, 4);
+    return b;
+  };
+  // The first address space's root, then that frame's data in the blob.
+  const std::string root_field = std::string("\x07\x02" "as" "\x02\x04" "root");
+  const std::size_t at = blob.find(root_field);
+  ASSERT_NE(at, std::string::npos);
+  arch::u32 root = 0;
+  std::memcpy(&root, blob.data() + at + root_field.size(), 4);
+  const std::size_t frame =
+      blob.find(std::string("\x02\x03" "pfn") + le32(root));
+  ASSERT_NE(frame, std::string::npos);
+  const std::string data_field =
+      std::string("\x06\x04" "data") + le32(arch::kPageSize);
+  const std::size_t dir = blob.find(data_field, frame) + data_field.size();
+  ASSERT_LT(dir + arch::kPageSize, blob.size());
+  // Point the last empty directory slot past the 2048 frames.
+  std::size_t slot = arch::kPageSize / 4;
+  while (slot-- > 0 && blob.compare(dir + slot * 4, 4, le32(0)) != 0) {
+  }
+  ASSERT_LT(slot, arch::kPageSize / 4);
+  blob.replace(dir + slot * 4, 4,
+               le32(arch::Pte::make(0xfffff, arch::Pte::kPresent).raw));
+
+  auto r = boot(cfg);
+  std::istringstream is(blob);
+  EXPECT_THROW(r.k->restore(is), snapshot::SnapshotError);
 }
 
 // restore() is an in-place reset of a kernel with the SAME configuration
