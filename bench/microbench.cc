@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -353,11 +354,9 @@ BENCHMARK(BM_KernelConstruct)
     ->Arg(kernel::KernelConfig{}.phys_frames)
     ->Arg(2048);
 
-// An in-place restore of a fuzz case's snapshot, as the fork-server
-// workload does it: an 8 MiB split-break machine saved at 90% of the
-// case's run, restored into the kernel that saved it from a fresh
-// istringstream over the saved bytes.
-void BM_KernelRestore(benchmark::State& state) {
+// The fork-server workload's machine: an 8 MiB split-break kernel running
+// a 48-action fuzz case, stopped at 90% of the case's run.
+std::unique_ptr<kernel::Kernel> fork_server_kernel() {
   fuzz::GenOptions gen;
   gen.min_actions = gen.max_actions = 48;
   gen.allow_lethal = false;
@@ -366,8 +365,16 @@ void BM_KernelRestore(benchmark::State& state) {
                                .mode = core::ProtectionMode::kSplitAll,
                                .phys_frames = 2048};
   const arch::u64 total = fuzz::run_case(c, cfg).instructions;
-  const auto k = fuzz::make_case_kernel(c, cfg);
+  auto k = fuzz::make_case_kernel(c, cfg);
   k->run(total * 9 / 10);
+  return k;
+}
+
+// An in-place restore of that machine's snapshot, as the fork-server
+// workload does it: restored into the kernel that saved it from a fresh
+// istringstream over the saved bytes.
+void BM_KernelRestore(benchmark::State& state) {
+  const auto k = fork_server_kernel();
   std::ostringstream os;
   k->save(os);
   const std::string blob = os.str();
@@ -379,6 +386,22 @@ void BM_KernelRestore(benchmark::State& state) {
                           static_cast<std::int64_t>(blob.size()));
 }
 BENCHMARK(BM_KernelRestore);
+
+// The exit digest the oracle takes of each exiting process, over pid 1's
+// address space in the same machine: text and data it never changed,
+// and the bytes it did.
+void BM_ExitDigest(benchmark::State& state) {
+  const auto k = fork_server_kernel();
+  const kernel::Process* p = k->process(1);
+  if (p == nullptr || p->as == nullptr) {
+    state.SkipWithError("pid 1 has no address space");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(p->as->data_digest());
+  }
+}
+BENCHMARK(BM_ExitDigest);
 
 }  // namespace
 

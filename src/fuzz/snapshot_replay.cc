@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <istream>
 #include <sstream>
+#include <streambuf>
+#include <string_view>
 
 #include "kernel/kernel.h"
 
@@ -26,6 +29,24 @@ std::string compare_to_ref(const RunObservation& ref, kernel::Kernel& k,
   std::string d = diff_behavior(ref, "straight", got, label);
   if (d.empty()) d = diff_billing(ref, "straight", got, label);
   return d;
+}
+
+// A read-only stream buffer over bytes the caller keeps alive, so a
+// restore reads a blob in place instead of from an std::istringstream's
+// copy of it. The reader only gets and never puts back, so the get area
+// is never written through.
+class BlobBuf : public std::streambuf {
+ public:
+  explicit BlobBuf(std::string_view blob) {
+    char* p = const_cast<char*>(blob.data());
+    setg(p, p, p + blob.size());
+  }
+};
+
+void restore_from(kernel::Kernel& k, std::string_view blob) {
+  BlobBuf buf(blob);
+  std::istream is(&buf);
+  k.restore(is);
 }
 
 }  // namespace
@@ -56,8 +77,7 @@ ReplayVerdict check_replay_at(const FuzzCase& c, const OracleConfig& cfg,
   // Restore into a FRESH kernel (the battery's point: the snapshot alone
   // carries the state) and run the remaining budget.
   const auto rest_k = make_case_kernel(img, cfg);
-  std::istringstream is(os.str());
-  rest_k->restore(is);
+  restore_from(*rest_k, os.view());
   const RunResult res = rest_k->run(budget - prefix);
 
   const std::string d = compare_to_ref(
@@ -108,7 +128,7 @@ ForkServerResult run_fork_server_case(const FuzzCase& c,
   if (r.prefix_instructions > 0) k->run(r.prefix_instructions);
   std::ostringstream os;
   k->save(os);
-  const std::string blob = os.str();
+  const std::string_view blob = os.view();
   r.snapshot_bytes = blob.size();
 
   for (u32 i = 0; i < opts.resets && r.ok; ++i) {
@@ -124,8 +144,7 @@ ForkServerResult run_fork_server_case(const FuzzCase& c,
     // Fork server: in-place restore of the prefix snapshot, then only the
     // suffix executes.
     t0 = std::chrono::steady_clock::now();
-    std::istringstream is(blob);
-    k->restore(is);
+    restore_from(*k, blob);
     const RunResult reset_res = k->run(suffix_budget);
     r.reset_seconds += seconds_since(t0);
     if (d.empty()) d = compare_to_ref(ref, *k, reset_res, "forkserver");

@@ -18,8 +18,9 @@ using Digest = std::array<arch::u8, 32>;
 // Incremental hasher: update() any number of times, then final() once.
 // Hashing N chunks produces the same digest as hashing their
 // concatenation, so callers can stream page-sized pieces instead of
-// assembling a contiguous buffer (the exit-digest path hashes each page
-// in place, behind a 4-byte va that leaves every later block unaligned).
+// assembling a contiguous buffer (the exit-digest path hashes each
+// changed 64-byte chunk in place, behind a 4-byte va that leaves every
+// later block unaligned).
 class Sha256 {
  public:
   void update(std::span<const arch::u8> data);

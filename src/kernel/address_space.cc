@@ -150,6 +150,20 @@ std::span<const u8> backing_slice(const Vma& vma, u32 page_vaddr) {
       off, std::min<std::size_t>(kPageSize, src.size() - off));
 }
 
+// The exit digest's unit: one SHA-256 block and one host cache line.
+// Whole differing pages would hash most of a page for a one-word store.
+constexpr u32 kDigestChunk = 64;
+
+// Whether `bytes` hold the initial bytes `initial` (no longer than
+// `bytes`) followed by zeros.
+bool holds_initial(std::span<const u8> bytes, std::span<const u8> initial) {
+  static constexpr std::array<u8, kPageSize> kZeroPage{};
+  const std::size_t n = initial.size();
+  const std::size_t tail = bytes.size() - n;
+  return (n == 0 || std::memcmp(bytes.data(), initial.data(), n) == 0) &&
+         std::memcmp(bytes.data() + n, kZeroPage.data(), tail) == 0;
+}
+
 }  // namespace
 
 void AddressSpace::initial_page_bytes(const Vma& vma, u32 page_vaddr,
@@ -170,40 +184,35 @@ image::Digest AddressSpace::data_digest() const {
   // frame_bytes() counts as a write and would bump generations.
   const PhysicalMemory& pm = *pm_;
   const PageTable table(*pm_, root_);
-  static constexpr std::array<u8, kPageSize> kZeroPage{};
-  const auto all_zero = [](std::span<const u8> b) {
-    return b.empty() || std::memcmp(b.data(), kZeroPage.data(), b.size()) == 0;
-  };
   image::Sha256 hasher;
   const auto hash32 = [&](u32 v) {
     const u8 le[4] = {static_cast<u8>(v), static_cast<u8>(v >> 8),
                       static_cast<u8>(v >> 16), static_cast<u8>(v >> 24)};
     hasher.update(le);
   };
-  // Page vas lie below their VMA's end, which is at or below the next
-  // VMA's start, so the stream decodes unambiguously.
+  // Chunk vas increase and lie below their VMA's end, which is at or
+  // below the next VMA's start, so the stream decodes unambiguously.
   for (const Vma* vma : ordered) {
     hash32(vma->start);
     hash32(vma->end);
     for (u32 page = vma->start; page < vma->end; page += kPageSize) {
-      if (const Pte pte = table.get(page); pte.present()) {
-        const SplitPair* pair = split_pair(vpn_of(page));
-        const std::span<const u8> bytes =
-            pm.frame_bytes(pair != nullptr ? pair->data_frame : pte.pfn());
-        if (all_zero(bytes)) continue;
-        hash32(page);
-        hasher.update(bytes);
-        continue;
+      // An absent page holds its initial bytes and adds nothing.
+      const Pte pte = table.get(page);
+      if (!pte.present()) continue;
+      const SplitPair* pair = split_pair(vpn_of(page));
+      const std::span<const u8> bytes =
+          pm.frame_bytes(pair != nullptr ? pair->data_frame : pte.pfn());
+      const std::span<const u8> initial = backing_slice(*vma, page);
+      if (holds_initial(bytes, initial)) continue;
+      for (u32 off = 0; off < kPageSize; off += kDigestChunk) {
+        const std::size_t lo = std::min<std::size_t>(off, initial.size());
+        const std::size_t hi =
+            std::min<std::size_t>(off + kDigestChunk, initial.size());
+        const std::span<const u8> chunk = bytes.subspan(off, kDigestChunk);
+        if (holds_initial(chunk, initial.subspan(lo, hi - lo))) continue;
+        hash32(page + off);
+        hasher.update(chunk);
       }
-      // An absent page reads as its initial bytes: the backing's slice
-      // (none for anonymous memory), then zeros to the page end. Hash
-      // them from the backing without materialising the page.
-      const std::span<const u8> slice = backing_slice(*vma, page);
-      if (all_zero(slice)) continue;
-      hash32(page);
-      hasher.update(slice);
-      hasher.update(std::span<const u8>(kZeroPage).first(kPageSize -
-                                                          slice.size()));
     }
   }
   return hasher.final();

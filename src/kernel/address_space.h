@@ -104,9 +104,12 @@ class AddressSpace {
 
   // SHA-256 of what the process's loads can observe (DESIGN.md §10): per
   // VMA in address order its start and end, then the va and bytes of
-  // every page whose data view is not all zero. Absent pages count as
-  // their initial bytes, so demand-paging order and eager loading cannot
-  // change the result, and the cost follows the memory actually touched.
+  // every 64-byte chunk of a present page whose data view differs from
+  // the VMA's initial bytes there. Absent pages hold their initial bytes
+  // and add nothing, so demand-paging order and eager loading cannot
+  // change the result, and the cost follows the bytes the process
+  // changed. Two address spaces compare by it only if their VMAs have
+  // the same backings.
   image::Digest data_digest() const;
 
   // --- heap ---------------------------------------------------------------

@@ -161,7 +161,8 @@ struct Process {
   // flags so the bench hot paths pay nothing):
   // every syscall issued, in order...
   std::vector<SyscallRecord> syscall_trace;
-  // ...and a SHA-256 over the data view of the whole address space,
+  // ...and AddressSpace::data_digest(), a SHA-256 of the VMA extents and
+  // of the data-view bytes that differ from their initial contents,
   // captured at exit/kill just before the address space is torn down.
   std::optional<image::Digest> exit_digest;
 

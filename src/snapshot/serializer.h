@@ -56,7 +56,10 @@ inline constexpr char kMagic[8] = {'S', 'M', 'S', 'N', 'A', 'P', '\x1a', 0};
 // (DESIGN.md §10); a v2 digest would compare unequal to a fresh one.
 // v4: the stats record is metrics::kCounters, which adds the four SMP
 // counters (ipi_sends, ipi_acks, tlb_shootdowns, work_steals).
-inline constexpr u32 kFormatVersion = 4;
+// v5: Process::exit_digest hashes only the 64-byte chunks that differ from
+// the VMA's initial bytes (DESIGN.md §10); a v4 digest would compare
+// unequal to a fresh one.
+inline constexpr u32 kFormatVersion = 5;
 
 // Field kinds on the wire.
 enum class FieldKind : u8 {

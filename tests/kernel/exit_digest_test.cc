@@ -1,9 +1,11 @@
 // The exit-memory digest (AddressSpace::data_digest, DESIGN.md §10): VMA
-// extents plus every page whose data view is not all zero. It must see
-// any non-zero byte and any change of extent, and must not depend on how
-// a page came to be present: demand paging, eager loading, split pairs.
+// extents plus every 64-byte chunk whose data view differs from the VMA's
+// initial bytes. It must see any changed byte, where in its page it sits,
+// and any change of extent, and must not depend on how a page came to be
+// present: demand paging, eager loading, split pairs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -59,12 +61,18 @@ struct Space {
 
 TEST(ExitDigest, OneNonZeroByteOnAnUntouchedPageCounts) {
   const image::Digest untouched = Space().digest();
+  // The first two vas are one chunk apart in one page: their changed
+  // chunks hold the same bytes, and only the chunk's va tells them apart.
+  std::vector<image::Digest> seen{untouched};
   for (const u32 va : {kStackBase + 17 * kPageSize + 123,
+                       kStackBase + 17 * kPageSize + 123 + 64,
                        kMmapBase + 2 * kPageSize + 7}) {
     Space s;
     s.map(arch::page_floor(va));
     s.poke(va, 1);
-    EXPECT_NE(s.digest(), untouched) << std::hex << va;
+    const image::Digest d = s.digest();
+    EXPECT_EQ(std::ranges::count(seen, d), 0) << std::hex << va;
+    seen.push_back(d);
     s.poke(va, 0);
     EXPECT_EQ(s.digest(), untouched) << std::hex << va;
   }
@@ -106,7 +114,19 @@ TEST(ExitDigest, AbsentBackedPageHashesAsItsInitialBytes) {
                                   present.pm.frame_bytes(f));
   }
   EXPECT_EQ(absent.digest(), present.digest());
+  // Written away from the backing's values and back again.
+  present.poke(0x10123, 0x11);
+  EXPECT_NE(absent.digest(), present.digest());
+  present.poke(0x10123, 0x5A);
+  EXPECT_EQ(absent.digest(), present.digest());
+  // The backing ends inside the second page's first chunk: its own byte at
+  // offset 7 is no change, a zero there or a non-zero byte past it is.
+  present.poke(0x11007, 0x5A);
+  EXPECT_EQ(absent.digest(), present.digest());
   present.poke(0x11007, 0);
+  EXPECT_NE(absent.digest(), present.digest());
+  present.poke(0x11007, 0x5A);
+  present.poke(0x11009, 0x5A);
   EXPECT_NE(absent.digest(), present.digest());
 }
 

@@ -61,6 +61,7 @@ MICROBENCH_LABELS = [
     "BM_AssembleGuestLibc",
     "BM_KernelConstruct",
     "BM_KernelRestore",
+    "BM_ExitDigest",
 ]
 
 
