@@ -21,6 +21,7 @@
 #include "fuzz/generator.h"
 #include "fuzz/oracle.h"
 #include "fuzz/rng.h"
+#include "fuzz/snapshot_replay.h"
 #include "guest/guestlib.h"
 #include "image/image.h"
 #include "image/sha256.h"
@@ -370,18 +371,15 @@ std::unique_ptr<kernel::Kernel> fork_server_kernel() {
   return k;
 }
 
-// An in-place restore of that machine's snapshot, as the fork-server
-// workload does it: restored into the kernel that saved it from a fresh
-// istringstream over the saved bytes.
+// An in-place restore of that machine's snapshot, as the fork server does
+// it: restored into the kernel that saved it, reading the saved bytes in
+// place.
 void BM_KernelRestore(benchmark::State& state) {
   const auto k = fork_server_kernel();
   std::ostringstream os;
   k->save(os);
   const std::string blob = os.str();
-  for (auto _ : state) {
-    std::istringstream is(blob);
-    k->restore(is);
-  }
+  for (auto _ : state) fuzz::restore_from(*k, blob);
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(blob.size()));
 }

@@ -156,21 +156,8 @@ MemFault Mmu::translate(u32 vaddr, Access acc, u64& pa) {
   if (acc == Access::kWrite) updated.set(Pte::kDirty);
   if (updated.raw != pte->raw) pt.set(vaddr, updated);
 
-  TlbEntry entry;
-  entry.vpn = vpn;
-  entry.pfn = pte->pfn();
-  entry.user = pte->user();
-  entry.writable = pte->writable();
-  entry.no_exec = pte->no_exec();
-  const auto evicted = tlb.insert(entry);
-  [[maybe_unused]] const u8 side =
-      is_fetch ? trace::kSideItlb : trace::kSideDtlb;
-  if (evicted) {
-    SM_TRACE(trace_, record(trace::EventKind::kTlbEvict, evicted->vpn << 12,
-                            evicted->pfn, side));
-  }
-  SM_TRACE(trace_,
-           record(trace::EventKind::kTlbFill, vaddr, pte->pfn(), side));
+  fill_tlb(is_fetch, vaddr, pte->pfn(), pte->user(), pte->writable(),
+           pte->no_exec());
   pa = finish(vaddr, pte->pfn());
   return std::nullopt;
 }
@@ -228,19 +215,8 @@ bool Mmu::fill_dtlb_via_walk(u32 vaddr) {
   PageTable pt(*pm_, cr3_);
   const auto pte = pt.walk(vaddr, stats_);
   if (!pte) return false;
-  TlbEntry entry;
-  entry.vpn = vpn_of(vaddr);
-  entry.pfn = pte->pfn();
-  entry.user = pte->user();
-  entry.writable = pte->writable();
-  entry.no_exec = pte->no_exec();
-  const auto evicted = dtlb_.insert(entry);
-  if (evicted) {
-    SM_TRACE(trace_, record(trace::EventKind::kTlbEvict, evicted->vpn << 12,
-                            evicted->pfn, trace::kSideDtlb));
-  }
-  SM_TRACE(trace_, record(trace::EventKind::kTlbFill, vaddr, pte->pfn(),
-                          trace::kSideDtlb));
+  fill_tlb(/*instruction=*/false, vaddr, pte->pfn(), pte->user(),
+           pte->writable(), pte->no_exec());
   return true;
 }
 
@@ -255,19 +231,8 @@ bool Mmu::fill_itlb_via_call(u32 vaddr) {
   PageTable pt(*pm_, cr3_);
   const auto pte = pt.walk(vaddr, stats_);
   if (!pte) return false;
-  TlbEntry entry;
-  entry.vpn = vpn_of(vaddr);
-  entry.pfn = pte->pfn();
-  entry.user = pte->user();
-  entry.writable = pte->writable();
-  entry.no_exec = pte->no_exec();
-  const auto evicted = itlb_.insert(entry);
-  if (evicted) {
-    SM_TRACE(trace_, record(trace::EventKind::kTlbEvict, evicted->vpn << 12,
-                            evicted->pfn, trace::kSideItlb));
-  }
-  SM_TRACE(trace_, record(trace::EventKind::kTlbFill, vaddr, pte->pfn(),
-                          trace::kSideItlb));
+  fill_tlb(/*instruction=*/true, vaddr, pte->pfn(), pte->user(),
+           pte->writable(), pte->no_exec());
   return true;
 }
 
@@ -275,8 +240,13 @@ void Mmu::insert_tlb_entry(bool instruction, u32 vpn, u32 pfn, bool user,
                            bool writable, bool no_exec) {
   drop_fetch_memo();
   drop_data_memos();
+  fill_tlb(instruction, vpn << kPageShift, pfn, user, writable, no_exec);
+}
+
+void Mmu::fill_tlb(bool instruction, u32 va, u32 pfn, bool user, bool writable,
+                   bool no_exec) {
   TlbEntry entry;
-  entry.vpn = vpn;
+  entry.vpn = vpn_of(va);
   entry.pfn = pfn;
   entry.user = user;
   entry.writable = writable;
@@ -288,7 +258,7 @@ void Mmu::insert_tlb_entry(bool instruction, u32 vpn, u32 pfn, bool user,
     SM_TRACE(trace_, record(trace::EventKind::kTlbEvict, evicted->vpn << 12,
                             evicted->pfn, side));
   }
-  SM_TRACE(trace_, record(trace::EventKind::kTlbFill, vpn << 12, pfn, side));
+  SM_TRACE(trace_, record(trace::EventKind::kTlbFill, va, pfn, side));
 }
 
 }  // namespace sm::arch

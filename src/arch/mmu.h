@@ -163,6 +163,10 @@ class Mmu {
   u64 finish(u32 vaddr, u32 pfn) const {
     return static_cast<u64>(pfn) * kPageSize + page_offset(vaddr);
   }
+  // Installs va's page in the I-TLB or D-TLB and records the eviction, if
+  // any, and the fill (whose event carries `va`).
+  void fill_tlb(bool instruction, u32 va, u32 pfn, bool user, bool writable,
+                bool no_exec);
 
   // Last successful instruction-fetch translation (see file comment).
   struct FetchMemo {

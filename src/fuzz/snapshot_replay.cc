@@ -43,13 +43,13 @@ class BlobBuf : public std::streambuf {
   }
 };
 
+}  // namespace
+
 void restore_from(kernel::Kernel& k, std::string_view blob) {
   BlobBuf buf(blob);
   std::istream is(&buf);
   k.restore(is);
 }
-
-}  // namespace
 
 ReplayVerdict check_replay_at(const FuzzCase& c, const OracleConfig& cfg,
                               u64 budget, u64 prefix) {

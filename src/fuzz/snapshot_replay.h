@@ -20,11 +20,16 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "fuzz/generator.h"
 #include "fuzz/oracle.h"
 
 namespace sm::fuzz {
+
+// Restores `k` from the snapshot in `blob`, read in place: the bytes are
+// not copied into a stream first. The fork server resets through this.
+void restore_from(kernel::Kernel& k, std::string_view blob);
 
 struct ReplayVerdict {
   bool ok = true;

@@ -53,25 +53,27 @@ class Channel {
 
 class Pipe;
 
-// A simulated listening socket: a port-keyed accept queue of established
-// connections, bounded by `capacity`. Each queued connection is a pair of
-// unidirectional pipes (client->server and server->client) created by
-// connect(); accept() pops the pair into a socket fd. When the queue is
-// full, further connects are REFUSED immediately — the SYN-queue-overflow
-// model, and the kernel-level load-shedding point of the overload stack.
-// Reference-counted like a pipe end (fork duplicates the listen fd); the
-// kernel deregisters the port when the last holder closes.
-struct ListenSock {
-  // One established-but-unaccepted connection.
-  struct PendingConn {
-    std::shared_ptr<Pipe> c2s;  // client writes, server reads
-    std::shared_ptr<Pipe> s2c;  // server writes, client reads
-  };
+// A connected socket end (SYS_CONNECT / SYS_ACCEPT): one pipe per
+// direction, this holder being the reader of rx and the writer of tx.
+struct FdSock {
+  std::shared_ptr<Pipe> rx;
+  std::shared_ptr<Pipe> tx;
+};
 
+// A simulated listening socket: a port-keyed accept queue of established
+// connections, bounded by `capacity`. Each queued connection is the server
+// end connect() made: an FdSock whose rx the client writes (client->server)
+// and whose tx the client reads (server->client); accept() moves it into
+// the fd table. When the queue is full, further connects are REFUSED
+// immediately — the SYN-queue-overflow model, and the kernel-level
+// load-shedding point of the overload stack. Reference-counted like a pipe
+// end (fork duplicates the listen fd); the kernel deregisters the port
+// when the last holder closes.
+struct ListenSock {
   u32 port = 0;
   u32 capacity = 0;  // accept-queue bound (>= 1)
   int refs = 0;      // fd-table holders across fork
-  std::deque<PendingConn> backlog;
+  std::deque<FdSock> backlog;  // server ends, in connect (FIFO) order
 
   // Pids blocked in accept() (or select2 on the listen fd), FIFO, drained
   // by the kernel with the same stale-entry re-validation as pipe waiters.

@@ -340,70 +340,71 @@ bool Kernel::ensure_mapped(Process& p, u32 va, u32 len) {
 }
 
 namespace {
+// The pipe a read of this fd drains and the pipe a write to it fills: a
+// pipe end names one of the two, a connected socket both (it reads rx and
+// writes tx). Null for every other fd kind.
+Pipe* read_end(const FdEntry& e) {
+  if (const auto* pr = std::get_if<FdPipeRead>(&e)) return pr->pipe.get();
+  if (const auto* sk = std::get_if<FdSock>(&e)) return sk->rx.get();
+  return nullptr;
+}
+Pipe* write_end(const FdEntry& e) {
+  if (const auto* pw = std::get_if<FdPipeWrite>(&e)) return pw->pipe.get();
+  if (const auto* sk = std::get_if<FdSock>(&e)) return sk->tx.get();
+  return nullptr;
+}
+
 void retain_fds(std::vector<FdEntry>& fds) {
   for (FdEntry& e : fds) {
-    if (auto* pw = std::get_if<FdPipeWrite>(&e)) pw->pipe->add_writer();
-    if (auto* pr = std::get_if<FdPipeRead>(&e)) pr->pipe->add_reader();
-    if (auto* sk = std::get_if<FdSock>(&e)) {
-      sk->rx->add_reader();
-      sk->tx->add_writer();
-    }
+    if (Pipe* w = write_end(e)) w->add_writer();
+    if (Pipe* r = read_end(e)) r->add_reader();
     if (auto* l = std::get_if<FdListen>(&e)) ++l->sock->refs;
   }
 }
 }  // namespace
 
+void Kernel::close_write_end(Pipe& pipe) {
+  pipe.remove_writer();
+  // Last writer gone and nothing buffered: every sleeping reader is at
+  // EOF right now, and no future event will arrive to wake it.
+  if (pipe.eof()) wake_all(pipe.read_waiters);
+}
+
+void Kernel::close_read_end(Pipe& pipe) {
+  pipe.remove_reader();
+  if (pipe.read_closed()) {
+    // EPIPE: sleeping writers can never make progress again.
+    wake_all(pipe.write_waiters);
+  } else if (pipe.readable() > 0) {
+    // A reader died holding the handoff baton (woken for data it never
+    // consumed): pass the buffered bytes to the next sleeper.
+    wake_one(pipe.read_waiters);
+  }
+}
+
 void Kernel::release_fd(FdEntry& e) {
-  if (auto* pw = std::get_if<FdPipeWrite>(&e)) {
-    const std::shared_ptr<Pipe> pipe = pw->pipe;  // outlive the fd slot
-    pipe->remove_writer();
-    // Last writer gone and nothing buffered: every sleeping reader is at
-    // EOF right now, and no future event will arrive to wake it.
-    if (pipe->eof()) wake_all(pipe->read_waiters);
-  } else if (auto* pr = std::get_if<FdPipeRead>(&e)) {
-    const std::shared_ptr<Pipe> pipe = pr->pipe;
-    pipe->remove_reader();
-    if (pipe->read_closed()) {
-      // EPIPE: sleeping writers can never make progress again.
-      wake_all(pipe->write_waiters);
-    } else if (pipe->readable() > 0) {
-      // A reader died holding the handoff baton (woken for data it never
-      // consumed): pass the buffered bytes to the next sleeper.
-      wake_one(pipe->read_waiters);
-    }
-  } else if (auto* sk = std::get_if<FdSock>(&e)) {
-    // A connected socket is a reader on rx and a writer on tx; closing it
-    // ripples both directions exactly as the two pipe halves would.
-    const std::shared_ptr<Pipe> rx = sk->rx;
-    const std::shared_ptr<Pipe> tx = sk->tx;
-    tx->remove_writer();
-    if (tx->eof()) wake_all(tx->read_waiters);
-    rx->remove_reader();
-    if (rx->read_closed()) {
-      wake_all(rx->write_waiters);
-    } else if (rx->readable() > 0) {
-      wake_one(rx->read_waiters);
-    }
-  } else if (auto* l = std::get_if<FdListen>(&e)) {
-    const std::shared_ptr<ListenSock> sock = l->sock;
-    if (--sock->refs <= 0) {
+  // Moved out of the slot first, so what it holds outlives the wakeups. A
+  // socket closes its write end, then its read end.
+  const FdEntry closing = std::exchange(e, std::monostate{});
+  if (Pipe* w = write_end(closing)) close_write_end(*w);
+  if (Pipe* r = read_end(closing)) close_read_end(*r);
+  if (const auto* l = std::get_if<FdListen>(&closing)) {
+    ListenSock& sock = *l->sock;
+    if (--sock.refs <= 0) {
       // Last holder gone: the port closes. Queued-but-unaccepted
       // connections are torn down as peer closes — the client side sees
       // EOF on its rx and EPIPE on its tx, exactly like a peer that
       // accepted and immediately closed.
-      for (auto& conn : sock->backlog) {
-        conn.s2c->remove_writer();
-        if (conn.s2c->eof()) wake_all(conn.s2c->read_waiters);
-        conn.c2s->remove_reader();
-        if (conn.c2s->read_closed()) wake_all(conn.c2s->write_waiters);
+      for (FdSock& conn : sock.backlog) {
+        close_write_end(*conn.tx);
+        close_read_end(*conn.rx);
       }
-      sock->backlog.clear();
+      sock.backlog.clear();
       // Parked accepters can never succeed now; on retry they see EBADF.
-      wake_all(sock->accept_waiters);
-      listen_ports_.erase(sock->port);
+      wake_all(sock.accept_waiters);
+      listen_ports_.erase(sock.port);
     }
   }
-  e = std::monostate{};
 }
 
 void Kernel::release_all_fds(Process& p) {
@@ -439,14 +440,9 @@ bool Kernel::fd_readable(const Process& p, u32 fd) const {
   if (const auto* c = std::get_if<FdChannel>(&e)) {
     return c->chan->guest_readable() > 0 || c->chan->guest_eof();
   }
-  if (const auto* pr = std::get_if<FdPipeRead>(&e)) {
-    return pr->pipe->readable() > 0 || pr->pipe->eof();
-  }
+  if (const Pipe* r = read_end(e)) return r->readable() > 0 || r->eof();
   if (const auto* l = std::get_if<FdListen>(&e)) {
     return !l->sock->backlog.empty();
-  }
-  if (const auto* sk = std::get_if<FdSock>(&e)) {
-    return sk->rx->readable() > 0 || sk->rx->eof();
   }
   return true;  // console/file/closed fds never block a read
 }
@@ -458,14 +454,8 @@ bool Kernel::wait_satisfied(const Process& p) const {
   }
   if (const auto* ww = std::get_if<WaitWriteFd>(&p.waiting)) {
     if (ww->fd >= p.fds.size()) return true;
-    const FdEntry& e = p.fds[ww->fd];
-    if (const auto* pw = std::get_if<FdPipeWrite>(&e)) {
-      return pw->pipe->writable() > 0 || pw->pipe->read_closed();
-    }
-    if (const auto* sk = std::get_if<FdSock>(&e)) {
-      return sk->tx->writable() > 0 || sk->tx->read_closed();
-    }
-    return true;
+    const Pipe* w = write_end(p.fds[ww->fd]);
+    return w == nullptr || w->writable() > 0 || w->read_closed();
   }
   if (const auto* ws = std::get_if<WaitSelect2>(&p.waiting)) {
     return fd_readable(p, ws->fd_a) || fd_readable(p, ws->fd_b);
@@ -487,23 +477,17 @@ void Kernel::register_waiter(Process& p) {
     FdEntry& e = p.fds[fd];
     if (std::holds_alternative<FdChannel>(e)) {
       channel_waiters_.insert(p.pid);
-    } else if (auto* pr = std::get_if<FdPipeRead>(&e)) {
-      pr->pipe->read_waiters.push_back(p.pid);
+    } else if (Pipe* r = read_end(e)) {
+      r->read_waiters.push_back(p.pid);
     } else if (auto* l = std::get_if<FdListen>(&e)) {
       l->sock->accept_waiters.push_back(p.pid);
-    } else if (auto* sk = std::get_if<FdSock>(&e)) {
-      sk->rx->read_waiters.push_back(p.pid);
     }
   };
   if (const auto* wr = std::get_if<WaitReadFd>(&p.waiting)) {
     register_read_fd(wr->fd);
   } else if (const auto* ww = std::get_if<WaitWriteFd>(&p.waiting)) {
     if (ww->fd < p.fds.size()) {
-      if (auto* pw = std::get_if<FdPipeWrite>(&p.fds[ww->fd])) {
-        pw->pipe->write_waiters.push_back(p.pid);
-      } else if (auto* sk = std::get_if<FdSock>(&p.fds[ww->fd])) {
-        sk->tx->write_waiters.push_back(p.pid);
-      }
+      if (Pipe* w = write_end(p.fds[ww->fd])) w->write_waiters.push_back(p.pid);
     }
   } else if (const auto* ws = std::get_if<WaitSelect2>(&p.waiting)) {
     register_read_fd(ws->fd_a);
@@ -1203,6 +1187,34 @@ void Kernel::do_syscall(Process& p, bool retried) {
     SM_TRACE(trace_ptr_, record(trace::EventKind::kWaitTimeout, 0, num));
     regs.r[0] = kErrTimedOut;
   };
+  // SYS_READ and SYS_SELECT2 and their timed forms share one body each.
+  // The untimed forms pass (0, false): no deadline is armed and timed_out
+  // is left alone.
+  auto read_fd = [&](u64 timeout, bool expired) {
+    bool blocked = false;
+    const u32 n = sys_read(p, a1, a2, a3, blocked);
+    if (!blocked) {
+      regs.r[0] = n;
+    } else if (expired) {
+      timed_out_result();
+    } else {
+      block_on(WaitReadFd{a1}, timeout);
+    }
+  };
+  // select2 -> which of the two fds is readable (0 or 1). fd_a has
+  // priority when both are ready, so a server can drain its command
+  // stream before accepting new work.
+  auto select2 = [&](u64 timeout, bool expired) {
+    if (fd_readable(p, a1)) {
+      regs.r[0] = 0;
+    } else if (fd_readable(p, a2)) {
+      regs.r[0] = 1;
+    } else if (expired) {
+      timed_out_result();
+    } else {
+      block_on(WaitSelect2{a1, a2}, timeout);
+    }
+  };
 
   switch (num) {
     case kSysExit: {
@@ -1220,16 +1232,9 @@ void Kernel::do_syscall(Process& p, bool retried) {
       if (p.on_runqueue) cores_[p.rq_core]->runqueue.remove(p);
       return;
     }
-    case kSysRead: {
-      bool blocked = false;
-      const u32 n = sys_read(p, a1, a2, a3, blocked);
-      if (blocked) {
-        block_on(WaitReadFd{a1});
-        return;
-      }
-      regs.r[0] = n;
+    case kSysRead:
+      read_fd(0, false);
       return;
-    }
     case kSysWrite: {
       bool blocked = false;
       const u32 n = sys_write(p, a1, a2, a3, blocked);
@@ -1329,21 +1334,9 @@ void Kernel::do_syscall(Process& p, bool retried) {
     case kSysRand:
       regs.r[0] = rng_next();
       return;
-    case kSysSelect2: {
-      // select2(fd_a, fd_b) -> which of the two is readable (0 or 1),
-      // blocking until one is. fd_a has priority when both are ready, so a
-      // server can drain its command stream before accepting new work.
-      if (fd_readable(p, a1)) {
-        regs.r[0] = 0;
-        return;
-      }
-      if (fd_readable(p, a2)) {
-        regs.r[0] = 1;
-        return;
-      }
-      block_on(WaitSelect2{a1, a2});
+    case kSysSelect2:
+      select2(0, false);
       return;
-    }
     case kSysSleep: {
       // sleep(cycles): park until the deadline. Returns 0.
       if (std::exchange(p.timed_out, false)) {
@@ -1375,15 +1368,15 @@ void Kernel::do_syscall(Process& p, bool retried) {
       }
       ListenSock& sock = *std::get<FdListen>(p.fds[a1]).sock;
       if (!sock.backlog.empty()) {
-        ListenSock::PendingConn conn = sock.backlog.front();
+        // The queued server end, with its pipe-end references, moves
+        // into the fd table.
+        FdSock conn = std::move(sock.backlog.front());
         sock.backlog.pop_front();
         ++stats_.sock_accepts;
         SM_TRACE(trace_ptr_,
                  record(trace::EventKind::kSockAccept, sock.port,
                         static_cast<u32>(sock.backlog.size())));
-        // Server side: reads what the client wrote (c2s), writes replies
-        // (s2c). The backlog's pipe-end references transfer to the fd.
-        regs.r[0] = p.alloc_fd(FdSock{conn.c2s, conn.s2c});
+        regs.r[0] = p.alloc_fd(std::move(conn));
         return;
       }
       if (expired) {
@@ -1393,42 +1386,16 @@ void Kernel::do_syscall(Process& p, bool retried) {
       block_on(WaitReadFd{a1}, a2);
       return;
     }
-    case kSysReadT: {
+    case kSysReadT:
       // read_t(fd, buf, len, timeout): SYS_READ plus a deadline. A
       // separate number — the legacy form's unused argument registers
       // carry live garbage in existing guests.
-      const bool expired = std::exchange(p.timed_out, false);
-      bool blocked = false;
-      const u32 n = sys_read(p, a1, a2, a3, blocked);
-      if (blocked) {
-        if (expired) {
-          timed_out_result();
-          return;
-        }
-        block_on(WaitReadFd{a1}, regs.r[4]);
-        return;
-      }
-      regs.r[0] = n;
+      read_fd(regs.r[4], std::exchange(p.timed_out, false));
       return;
-    }
-    case kSysSelect2T: {
+    case kSysSelect2T:
       // select2_t(fd_a, fd_b, timeout): SYS_SELECT2 plus a deadline.
-      const bool expired = std::exchange(p.timed_out, false);
-      if (fd_readable(p, a1)) {
-        regs.r[0] = 0;
-        return;
-      }
-      if (fd_readable(p, a2)) {
-        regs.r[0] = 1;
-        return;
-      }
-      if (expired) {
-        timed_out_result();
-        return;
-      }
-      block_on(WaitSelect2{a1, a2}, a3);
+      select2(a3, std::exchange(p.timed_out, false));
       return;
-    }
     default:
       log("[syscall] pid " + std::to_string(p.pid) + " bad syscall " +
           std::to_string(num));
@@ -1456,26 +1423,17 @@ u32 Kernel::sys_read(Process& p, u32 fd, u32 buf, u32 len, bool& blocked) {
       shell_input_logger(
           p, std::string(reinterpret_cast<char*>(tmp.data()), n));
     }
-  } else if (auto* pr = std::get_if<FdPipeRead>(&p.fds[fd])) {
-    if (pr->pipe->readable() == 0) {
-      if (pr->pipe->eof()) return 0;
+  } else if (Pipe* r = read_end(p.fds[fd])) {
+    if (r->readable() == 0) {
+      if (r->eof()) return 0;
       blocked = true;
       return 0;
     }
-    n = pr->pipe->read(std::span<u8>(tmp.data(), len));
+    n = r->read(std::span<u8>(tmp.data(), len));
     // Handoff: bytes left behind belong to the next sleeping reader, and
     // the space just freed lets one sleeping writer make progress.
-    if (pr->pipe->readable() > 0) wake_one(pr->pipe->read_waiters);
-    wake_one(pr->pipe->write_waiters);
-  } else if (auto* sk = std::get_if<FdSock>(&p.fds[fd])) {
-    if (sk->rx->readable() == 0) {
-      if (sk->rx->eof()) return 0;
-      blocked = true;
-      return 0;
-    }
-    n = sk->rx->read(std::span<u8>(tmp.data(), len));
-    if (sk->rx->readable() > 0) wake_one(sk->rx->read_waiters);
-    wake_one(sk->rx->write_waiters);
+    if (r->readable() > 0) wake_one(r->read_waiters);
+    wake_one(r->write_waiters);
   } else if (auto* f = std::get_if<FdFile>(&p.fds[fd])) {
     const auto& bytes = f->node->bytes;
     if (f->offset >= bytes.size()) return 0;
@@ -1505,9 +1463,9 @@ u32 Kernel::sys_write(Process& p, u32 fd, u32 buf, u32 len, bool& blocked) {
     c->chan->guest_write(tmp);
     return len;
   }
-  if (auto* pw = std::get_if<FdPipeWrite>(&p.fds[fd])) {
-    if (pw->pipe->read_closed()) return kErrResult;  // EPIPE
-    const u32 n = pw->pipe->write(tmp);
+  if (Pipe* w = write_end(p.fds[fd])) {
+    if (w->read_closed()) return kErrResult;  // EPIPE
+    const u32 n = w->write(tmp);
     if (n == 0) {
       blocked = true;
       return 0;
@@ -1515,19 +1473,8 @@ u32 Kernel::sys_write(Process& p, u32 fd, u32 buf, u32 len, bool& blocked) {
     // Wake exactly one sleeping reader — it hands off to the next if it
     // leaves bytes behind, so a fan-in pipe never thunders the herd. Any
     // space still left can also admit one more sleeping writer.
-    wake_one(pw->pipe->read_waiters);
-    if (pw->pipe->writable() > 0) wake_one(pw->pipe->write_waiters);
-    return n;
-  }
-  if (auto* sk = std::get_if<FdSock>(&p.fds[fd])) {
-    if (sk->tx->read_closed()) return kErrResult;  // EPIPE
-    const u32 n = sk->tx->write(tmp);
-    if (n == 0) {
-      blocked = true;
-      return 0;
-    }
-    wake_one(sk->tx->read_waiters);
-    if (sk->tx->writable() > 0) wake_one(sk->tx->write_waiters);
+    wake_one(w->read_waiters);
+    if (w->writable() > 0) wake_one(w->write_waiters);
     return n;
   }
   if (std::holds_alternative<FdConsole>(p.fds[fd])) {
@@ -1593,7 +1540,7 @@ u32 Kernel::sys_connect(Process& p, u32 port) {
   c2s->add_reader();  // server rx ....... held by the backlog until accept()
   s2c->add_reader();  // client rx
   s2c->add_writer();  // server tx
-  sock.backlog.push_back({c2s, s2c});
+  sock.backlog.push_back(FdSock{.rx = c2s, .tx = s2c});
   ++stats_.sock_connects;
   stats_.sock_backlog_peak =
       std::max<u64>(stats_.sock_backlog_peak, sock.backlog.size());
@@ -1602,7 +1549,7 @@ u32 Kernel::sys_connect(Process& p, u32 port) {
                   static_cast<u32>(sock.backlog.size())));
   // The queued connection may satisfy a parked accept()/select2.
   wake_one(sock.accept_waiters);
-  return p.alloc_fd(FdSock{s2c, c2s});
+  return p.alloc_fd(FdSock{.rx = s2c, .tx = c2s});
 }
 
 u32 Kernel::sys_open(Process& p, u32 path_ptr, u32 flags) {

@@ -342,6 +342,10 @@ class Kernel {
   // these route through the wake queues, so fd release is kernel business.
   void release_fd(FdEntry& e);
   void release_all_fds(Process& p);
+  // The close rules for one pipe end, shared by pipe fds, socket fds and
+  // the queued connections a closing listener tears down.
+  void close_write_end(Pipe& pipe);
+  void close_read_end(Pipe& pipe);
 
   // --- syscalls ---------------------------------------------------------------
   // `retried` marks the re-run of a blocked syscall so the trace records

@@ -69,12 +69,6 @@ struct FdFile {
 struct FdListen {
   std::shared_ptr<ListenSock> sock;
 };
-// A connected socket end (SYS_CONNECT / SYS_ACCEPT): one pipe per
-// direction, this holder being the reader of rx and the writer of tx.
-struct FdSock {
-  std::shared_ptr<Pipe> rx;
-  std::shared_ptr<Pipe> tx;
-};
 using FdEntry =
     std::variant<std::monostate, FdChannel, FdConsole, FdPipeRead, FdPipeWrite,
                  FdFile, FdListen, FdSock>;

@@ -651,10 +651,10 @@ struct Access::Schema {
   SNAPSHOT_TRIPWIRE(kernel::ListenSock, 176, port, capacity, refs, backlog,
                     accept_waiters);
 
-  static constexpr auto kPendingConn =
-      table(ref("c2s", &kernel::ListenSock::PendingConn::c2s),
-            ref("s2c", &kernel::ListenSock::PendingConn::s2c));
-  SNAPSHOT_TRIPWIRE(kernel::ListenSock::PendingConn, 32, c2s, s2c);
+  // A queued connection is the server's FdSock; its wire names say which
+  // way each pipe runs (rx is client->server, tx server->client).
+  static constexpr auto kBacklogConn =
+      table(ref("c2s", &kernel::FdSock::rx), ref("s2c", &kernel::FdSock::tx));
 
   static constexpr auto kVma = table(
       m("start", &kernel::Vma::start), m("end", &kernel::Vma::end),
@@ -907,9 +907,7 @@ struct Access::Schema {
       if constexpr (std::is_same_v<T, kernel::ListenSock>) {
         // Queued-but-unaccepted connections hold pipe ends reachable only
         // through the backlog (the client may already have closed its fd).
-        for (kernel::ListenSock::PendingConn& conn : p->backlog) {
-          add_refs(conn, kPendingConn);
-        }
+        for (kernel::FdSock& conn : p->backlog) add_refs(conn, kBacklogConn);
       }
     }
 
@@ -973,7 +971,7 @@ struct Access::Schema {
           members(ar, s, kListenSock);
           // The backlog in queue (FIFO) order.
           counted(ar, "backlog", s.backlog, s.capacity, [&](auto& conn) {
-            record(ar, "conn", conn, kPendingConn, o);
+            record(ar, "conn", conn, kBacklogConn, o);
           });
           field(ar, "accept_waiters", s.accept_waiters);
           ar.end();

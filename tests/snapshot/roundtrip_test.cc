@@ -206,18 +206,58 @@ TEST(SnapshotRoundtrip, BadMagicAndVersionRejected) {
   }
 }
 
-// The saved bytes of one fixed machine, pinned. The tripwires catch a
+// A connection queued in a listener's backlog and never accepted: the
+// client's request is buffered on it and the client sleeps reading the
+// reply, so no run() ever moves this machine on.
+const char* kQueuedConnectionBody = R"(
+_start:
+  movi r0, SYS_LISTEN
+  movi r1, 5
+  movi r2, 4
+  syscall
+  movi r0, SYS_CONNECT
+  movi r1, 5
+  syscall
+  movi r4, cfd
+  store [r4], r0
+  movi r0, SYS_WRITE
+  movi r4, cfd
+  load r1, [r4]
+  movi r2, msg
+  movi r3, 4
+  syscall
+  movi r0, SYS_READ
+  movi r4, cfd
+  load r1, [r4]
+  movi r2, msg
+  movi r3, 4
+  syscall
+  movi r0, SYS_EXIT
+  movi r1, 0
+  syscall
+.data
+msg: .ascii "ctc1"
+.bss
+cfd: .space 4
+)";
+
+// The saved bytes of two fixed machines, pinned. The tripwires catch a
 // member added or removed; this catches a field whose wire kind, name or
 // order changes while its struct keeps its size (a u32 member turned u64
-// into padding). One core and no block engine, so the pin holds under
-// SM_CORES and SM_DBT (the stats record carries block_cache_misses).
+// into padding). The second machine pins the socket records: a listener,
+// its backlog and a connected socket. One core and no block engine, so
+// the pins hold under SM_CORES and SM_DBT (the stats record carries
+// block_cache_misses).
 TEST(SnapshotRoundtrip, SavedBytesArePinned) {
   kernel::KernelConfig cfg = snapshot_test_cfg(/*trace=*/true);
   cfg.cores = 1;
   cfg.dbt = false;
+  const auto sha_of = [](const std::string& blob) {
+    return image::hex_digest(image::sha256(
+        {reinterpret_cast<const arch::u8*>(blob.data()), blob.size()}));
+  };
   const std::string blob = mid_run_blob(cfg);
-  const std::string sha = image::hex_digest(image::sha256(
-      {reinterpret_cast<const arch::u8*>(blob.data()), blob.size()}));
+  const std::string sha = sha_of(blob);
   const std::string_view pinned_sha =
       "720eeed8ed4a727d0f87e9a8007de7a284a41f889aba92e316f79c1a868aed75";
   const std::string why =
@@ -225,6 +265,15 @@ TEST(SnapshotRoundtrip, SavedBytesArePinned) {
       "the change only appends fields, then re-pin the length and SHA-256";
   EXPECT_EQ(blob.size(), 54066u) << why;
   EXPECT_EQ(sha, pinned_sha) << why;
+
+  auto q = start_guest(kQueuedConnectionBody, ProtectionMode::kSplitAll,
+                       ResponseMode::kBreak, cfg);
+  ASSERT_EQ(q.k->run(), kernel::Kernel::RunResult::kAllBlocked);
+  const std::string queued = save_bytes(*q.k);
+  const std::string_view pinned_queued_sha =
+      "a6ed1c8ae9c9010c5b5f03d19057ab0c45960ff0f56eb520f507681a5af03053";
+  EXPECT_EQ(queued.size(), 60916u) << why;
+  EXPECT_EQ(sha_of(queued), pinned_queued_sha) << why;
 }
 
 // Restore reads through the stream's buffer, whatever kind it is: a file

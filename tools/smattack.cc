@@ -14,6 +14,7 @@
 #include "attacks/nx_bypass.h"
 #include "attacks/realworld.h"
 #include "attacks/wilander.h"
+#include "engine_names.h"
 
 using namespace sm;
 using namespace sm::attacks;
@@ -42,18 +43,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--engine") {
-      const std::string e = next();
-      if (e == "none") {
-        mode = core::ProtectionMode::kNone;
-      } else if (e == "split") {
-        mode = core::ProtectionMode::kSplitAll;
-      } else if (e == "nx") {
-        mode = core::ProtectionMode::kHardwareNx;
-      } else if (e == "combined") {
-        mode = core::ProtectionMode::kNxPlusSplitMixed;
-      } else {
-        return usage();
-      }
+      const auto m = tools::engine_mode(next());
+      if (!m) return usage();
+      mode = *m;
     } else if (a == "--response") {
       const std::string r = next();
       if (r == "break") {

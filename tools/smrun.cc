@@ -26,6 +26,7 @@
 
 #include "asm/assembler.h"
 #include "core/split_engine.h"
+#include "engine_names.h"
 #include "guest/guestlib.h"
 #include "image/image.h"
 #include "kernel/kernel.h"
@@ -133,14 +134,8 @@ int main(int argc, char** argv) {
   if (fraction >= 0) {
     eng = std::make_unique<core::SplitMemoryEngine>(
         core::SplitPolicy::fraction(static_cast<arch::u32>(fraction)), rmode);
-  } else if (engine == "none") {
-    eng = core::make_engine(core::ProtectionMode::kNone, rmode);
-  } else if (engine == "split") {
-    eng = core::make_engine(core::ProtectionMode::kSplitAll, rmode);
-  } else if (engine == "nx") {
-    eng = core::make_engine(core::ProtectionMode::kHardwareNx, rmode);
-  } else if (engine == "combined") {
-    eng = core::make_engine(core::ProtectionMode::kNxPlusSplitMixed, rmode);
+  } else if (const auto mode = tools::engine_mode(engine)) {
+    eng = core::make_engine(*mode, rmode);
   } else {
     std::fprintf(stderr, "smrun: unknown engine %s\n", engine.c_str());
     return 64;

@@ -33,6 +33,7 @@
 
 #include "asm/assembler.h"
 #include "core/split_engine.h"
+#include "engine_names.h"
 #include "guest/guestlib.h"
 #include "image/image.h"
 #include "kernel/kernel.h"
@@ -141,14 +142,8 @@ int main(int argc, char** argv) {
     eng = std::make_unique<core::SplitMemoryEngine>(
         core::SplitPolicy::fraction(static_cast<arch::u32>(fraction)),
         core::ResponseMode::kBreak);
-  } else if (engine == "none") {
-    eng = core::make_engine(core::ProtectionMode::kNone);
-  } else if (engine == "split") {
-    eng = core::make_engine(core::ProtectionMode::kSplitAll);
-  } else if (engine == "nx") {
-    eng = core::make_engine(core::ProtectionMode::kHardwareNx);
-  } else if (engine == "combined") {
-    eng = core::make_engine(core::ProtectionMode::kNxPlusSplitMixed);
+  } else if (const auto mode = tools::engine_mode(engine)) {
+    eng = core::make_engine(*mode);
   } else {
     std::fprintf(stderr, "smtrace: unknown engine %s\n", engine.c_str());
     return 64;
