@@ -4,57 +4,12 @@ namespace sm::arch {
 
 namespace {
 
-// Block recording stops at (and includes) the first control-flow
-// instruction: its successor is not statically known, so it must be the
-// block's last member. kSyscall counts — it completes with a trap the
-// kernel services before execution may continue.
-bool is_terminator(Op op) {
-  switch (op) {
-    case Op::kJmp:
-    case Op::kJz:
-    case Op::kJnz:
-    case Op::kJlt:
-    case Op::kJge:
-    case Op::kJb:
-    case Op::kJae:
-    case Op::kJmpr:
-    case Op::kCall:
-    case Op::kCallr:
-    case Op::kRet:
-    case Op::kSyscall:
-      return true;
-    default:
-      return false;
-  }
-}
-
-// Instructions that can store to guest memory and therefore, on an
-// unsplit page, rewrite code the current block decoded from. (kCall and
-// kCallr also push, but they are terminators: nothing of the block runs
-// after them, so their stores need no mid-block generation re-check.)
-bool writes_memory(Op op) {
-  switch (op) {
-    case Op::kStore:
-    case Op::kStoreb:
-    case Op::kPush:
-      return true;
-    default:
-      return false;
-  }
-}
-
 // kSyscall is the one trap an instruction raises by completing. Every other
 // trap fetch_decode() or execute() returns is a fault: neither writes a
 // register before it returns one, so the instruction leaves the registers
 // as they were and retires nothing.
 bool is_fault(const std::optional<Trap>& t) {
   return t && t->kind != TrapKind::kSyscall;
-}
-
-// A register operand outside r0-r7 is a #GP at decode time.
-[[nodiscard]] std::optional<Trap> check_reg(u8 r) {
-  if (r >= kNumRegs) return Trap::simple(TrapKind::kGeneralProtection);
-  return std::nullopt;
 }
 
 }  // namespace
@@ -109,94 +64,12 @@ std::optional<Trap> Cpu::fetch_decode_at(u64 pa, Decoded& out) {
       return Trap::page_fault(*f);
     }
   }
-
   Decoded d;
-  d.op = static_cast<Op>(opcode);
-  d.len = len;
-  auto imm_at = [&](u32 off) {
-    return static_cast<u32>(bytes[off]) |
-           (static_cast<u32>(bytes[off + 1]) << 8) |
-           (static_cast<u32>(bytes[off + 2]) << 16) |
-           (static_cast<u32>(bytes[off + 3]) << 24);
-  };
-  switch (d.op) {
-    case Op::kMovi:
-    case Op::kAddi:
-    case Op::kCmpi:
-      d.ra = bytes[1];
-      d.imm = imm_at(2);
-      break;
-    case Op::kMov:
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kMul:
-    case Op::kDiv:
-    case Op::kAnd:
-    case Op::kOr:
-    case Op::kXor:
-    case Op::kShl:
-    case Op::kShr:
-    case Op::kCmp:
-    case Op::kModu:
-      d.ra = bytes[1];
-      d.rb = bytes[2];
-      break;
-    case Op::kLoad:
-    case Op::kStore:
-    case Op::kLoadb:
-    case Op::kStoreb:
-      d.ra = bytes[1];
-      d.rb = bytes[2];
-      d.imm = imm_at(3);
-      break;
-    case Op::kJmp:
-    case Op::kJz:
-    case Op::kJnz:
-    case Op::kJlt:
-    case Op::kJge:
-    case Op::kJb:
-    case Op::kJae:
-    case Op::kCall:
-      d.imm = imm_at(1);
-      break;
-    case Op::kJmpr:
-    case Op::kCallr:
-    case Op::kPush:
-    case Op::kPop:
-    case Op::kNot:
-      d.ra = bytes[1];
-      break;
-    case Op::kRet:
-    case Op::kSyscall:
-    case Op::kNop:
-      break;
-  }
-  if (d.len >= 2 && d.op != Op::kJmp && d.op != Op::kJz && d.op != Op::kJnz &&
-      d.op != Op::kJlt && d.op != Op::kJge && d.op != Op::kJb &&
-      d.op != Op::kJae && d.op != Op::kCall) {
-    if (auto gp = check_reg(d.ra)) return gp;
-  }
-  switch (d.op) {
-    case Op::kMov:
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kMul:
-    case Op::kDiv:
-    case Op::kAnd:
-    case Op::kOr:
-    case Op::kXor:
-    case Op::kShl:
-    case Op::kShr:
-    case Op::kCmp:
-    case Op::kModu:
-    case Op::kLoad:
-    case Op::kStore:
-    case Op::kLoadb:
-    case Op::kStoreb:
-      if (auto gp = check_reg(d.rb)) return gp;
-      break;
-    default:
-      break;
+  decode(bytes, d);
+  // A register operand outside r0-r7 is a #GP. decode() leaves the slots
+  // a form does not have at 0, so one check serves every form.
+  if (d.ra >= kNumRegs || d.rb >= kNumRegs) {
+    return Trap::simple(TrapKind::kGeneralProtection);
   }
   // Memoize fully validated decodes whose bytes live in one frame; a
   // straddling tail sits in a second frame the entry's generation key
@@ -356,7 +229,7 @@ Cpu::BlockStep Cpu::step_block(u64 max_attempts, u64 cycle_stop) {
     // the next entry probe re-records from the current bytes — which is
     // exactly where the per-instruction engine's decode-cache generation
     // check would have picked up.
-    if (i + 1 < b.count && writes_memory(d.op) &&
+    if (i + 1 < b.count && op_info(d.op).may_store &&
         pm.generation(b.pfn) != b.gen) {
       ++stats_->block_cache_invalidations;
       SM_TRACE(trace_,
@@ -412,13 +285,15 @@ Cpu::BlockStep Cpu::record_block(BlockCache::Block& b, u64 entry_pa,
     const bool straddles = page_offset(pc) + d.len > kPageSize;
     if (!straddles) recorded[count++] = d;
     if (trap) out.trap = trap;  // kSyscall completed; kernel services it
-    if (trap || is_terminator(d.op) || straddles) {
+    if (trap || op_info(d.op).ends_block || straddles) {
       complete = true;
       break;
     }
     // A store that rewrote the entry frame: everything recorded so far is
     // keyed to a dead generation — abandon the recording.
-    if (writes_memory(d.op) && pm.generation(entry_pfn) != entry_gen) break;
+    if (op_info(d.op).may_store && pm.generation(entry_pfn) != entry_gen) {
+      break;
+    }
     if (count == BlockCache::kMaxInstructions) {
       complete = true;
       break;

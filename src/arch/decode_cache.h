@@ -38,16 +38,6 @@
 
 namespace sm::arch {
 
-// A fully decoded instruction (operands cracked out of the byte stream).
-// Produced by Cpu::fetch_decode() and memoized by DecodeCache.
-struct Decoded {
-  Op op = Op::kNop;
-  u8 ra = 0;
-  u8 rb = 0;
-  u32 imm = 0;
-  u32 len = 0;
-};
-
 class DecodeCache {
  public:
   static constexpr u32 kDefaultEntries = 4096;

@@ -4,70 +4,25 @@
 #include <cctype>
 #include <optional>
 #include <sstream>
+#include <tuple>
 
 #include "arch/isa.h"
 
 namespace sm::assembler {
 
-using arch::Op;
-
 namespace {
 
 enum class Section { kText, kData, kBss };
 
-enum class Form {
-  kRegImm,    // movi/addi/cmpi rd, imm
-  kRegReg,    // mov/add/... rd, rs
-  kLoad,      // load/loadb rd, [rs+imm]
-  kStore,     // store/storeb [rd+imm], rs
-  kImm,       // jmp/jz/.../call imm
-  kReg,       // jmpr/callr/push/pop/not r
-  kNone,      // ret/syscall/nop
-};
-
-struct Mnemonic {
-  Op op;
-  Form form;
-};
-
-const std::map<std::string, Mnemonic>& mnemonics() {
-  static const std::map<std::string, Mnemonic> table = {
-      {"movi", {Op::kMovi, Form::kRegImm}},
-      {"addi", {Op::kAddi, Form::kRegImm}},
-      {"cmpi", {Op::kCmpi, Form::kRegImm}},
-      {"mov", {Op::kMov, Form::kRegReg}},
-      {"add", {Op::kAdd, Form::kRegReg}},
-      {"sub", {Op::kSub, Form::kRegReg}},
-      {"mul", {Op::kMul, Form::kRegReg}},
-      {"div", {Op::kDiv, Form::kRegReg}},
-      {"modu", {Op::kModu, Form::kRegReg}},
-      {"and", {Op::kAnd, Form::kRegReg}},
-      {"or", {Op::kOr, Form::kRegReg}},
-      {"xor", {Op::kXor, Form::kRegReg}},
-      {"shl", {Op::kShl, Form::kRegReg}},
-      {"shr", {Op::kShr, Form::kRegReg}},
-      {"cmp", {Op::kCmp, Form::kRegReg}},
-      {"not", {Op::kNot, Form::kReg}},
-      {"load", {Op::kLoad, Form::kLoad}},
-      {"loadb", {Op::kLoadb, Form::kLoad}},
-      {"store", {Op::kStore, Form::kStore}},
-      {"storeb", {Op::kStoreb, Form::kStore}},
-      {"jmp", {Op::kJmp, Form::kImm}},
-      {"jz", {Op::kJz, Form::kImm}},
-      {"jnz", {Op::kJnz, Form::kImm}},
-      {"jlt", {Op::kJlt, Form::kImm}},
-      {"jge", {Op::kJge, Form::kImm}},
-      {"jb", {Op::kJb, Form::kImm}},
-      {"jae", {Op::kJae, Form::kImm}},
-      {"call", {Op::kCall, Form::kImm}},
-      {"jmpr", {Op::kJmpr, Form::kReg}},
-      {"callr", {Op::kCallr, Form::kReg}},
-      {"push", {Op::kPush, Form::kReg}},
-      {"pop", {Op::kPop, Form::kReg}},
-      {"ret", {Op::kRet, Form::kNone}},
-      {"syscall", {Op::kSyscall, Form::kNone}},
-      {"nop", {Op::kNop, Form::kNone}},
-  };
+// Mnemonic -> opcode row, built once from the opcode table.
+const std::map<std::string, const arch::OpInfo*>& mnemonics() {
+  static const auto table = [] {
+    std::map<std::string, const arch::OpInfo*> by_name;
+    for (const arch::OpInfo& row : arch::kOpTable) {
+      by_name.emplace(row.mnemonic, &row);
+    }
+    return by_name;
+  }();
   return table;
 }
 
@@ -288,7 +243,8 @@ class Assembler {
     } catch (const std::exception&) {
       return std::nullopt;
     }
-    return neg ? static_cast<u32>(-static_cast<arch::i32>(value)) : value;
+    // Negated as u32: -0x80000000 has no i32 negation.
+    return neg ? 0u - value : value;
   }
 
   u32 eval(int line, const std::string& expr0,
@@ -516,7 +472,7 @@ class Assembler {
       if (section == Section::kBss) err(ln, "instructions not allowed in .bss");
       const auto it = mnemonics().find(m);
       if (it == mnemonics().end()) err(ln, "unknown mnemonic '" + m + "'");
-      const Mnemonic mn = it->second;
+      const arch::OpInfo& row = *it->second;
       const auto& ops = line.operands;
       auto need_ops = [&](std::size_t n) {
         if (ops.size() != n) {
@@ -524,46 +480,44 @@ class Assembler {
         }
       };
 
-      put8(static_cast<u8>(mn.op));
-      switch (mn.form) {
-        case Form::kRegImm:
-          need_ops(2);
-          put8(need_reg(ln, ops[0]));
-          put32(eval(ln, ops[1], emit));
-          break;
-        case Form::kRegReg:
-          need_ops(2);
-          put8(need_reg(ln, ops[0]));
-          put8(need_reg(ln, ops[1]));
-          break;
-        case Form::kLoad: {
-          need_ops(2);
-          put8(need_reg(ln, ops[0]));
-          const auto [reg, offv] = parse_mem(ln, ops[1], emit);
-          put8(reg);
-          put32(offv);
-          break;
-        }
-        case Form::kStore: {
-          need_ops(2);
-          const auto [reg, offv] = parse_mem(ln, ops[0], emit);
-          put8(reg);
-          put8(need_reg(ln, ops[1]));
-          put32(offv);
-          break;
-        }
-        case Form::kImm:
-          need_ops(1);
-          put32(eval(ln, ops[0], emit));
-          break;
-        case Form::kReg:
-          need_ops(1);
-          put8(need_reg(ln, ops[0]));
-          break;
-        case Form::kNone:
+      u8 ra = 0;
+      u8 rb = 0;
+      u32 imm = 0;
+      switch (row.form) {
+        case arch::Form::kNone:
           need_ops(0);
           break;
+        case arch::Form::kReg:
+          need_ops(1);
+          ra = need_reg(ln, ops[0]);
+          break;
+        case arch::Form::kRegReg:
+          need_ops(2);
+          ra = need_reg(ln, ops[0]);
+          rb = need_reg(ln, ops[1]);
+          break;
+        case arch::Form::kImm:
+          need_ops(1);
+          imm = eval(ln, ops[0], emit);
+          break;
+        case arch::Form::kRegImm:
+          need_ops(2);
+          ra = need_reg(ln, ops[0]);
+          imm = eval(ln, ops[1], emit);
+          break;
+        case arch::Form::kLoad:
+          need_ops(2);
+          ra = need_reg(ln, ops[0]);
+          std::tie(rb, imm) = parse_mem(ln, ops[1], emit);
+          break;
+        case arch::Form::kStore:
+          need_ops(2);
+          std::tie(ra, imm) = parse_mem(ln, ops[0], emit);
+          rb = need_reg(ln, ops[1]);
+          break;
       }
+      if (auto* buf = out()) arch::encode(row.op, ra, rb, imm, *buf);
+      cur() += arch::form_length(row.form);
     }
     if (!emit) bss_size_ = off[static_cast<int>(Section::kBss)];
   }

@@ -6,8 +6,6 @@
 
 namespace sm::assembler {
 
-using arch::Op;
-
 namespace {
 
 std::string reg_name(u8 r) {
@@ -22,94 +20,33 @@ std::string hex(u32 v) {
   return buf;
 }
 
-u32 imm_at(std::span<const u8> b, std::size_t off) {
-  return static_cast<u32>(b[off]) | (static_cast<u32>(b[off + 1]) << 8) |
-         (static_cast<u32>(b[off + 2]) << 16) |
-         (static_cast<u32>(b[off + 3]) << 24);
-}
-
 std::string mem_operand(u8 base, u32 off) {
   if (off == 0) return "[" + reg_name(base) + "]";
-  const auto soff = static_cast<arch::i32>(off);
-  if (soff < 0) return "[" + reg_name(base) + "-" + hex(-soff) + "]";
+  // Negated as u32: 0x80000000 has no i32 negation.
+  if (static_cast<arch::i32>(off) < 0) {
+    return "[" + reg_name(base) + "-" + hex(0u - off) + "]";
+  }
   return "[" + reg_name(base) + "+" + hex(off) + "]";
 }
 
-std::string render(Op op, std::span<const u8> b) {
-  switch (op) {
-    case Op::kMovi:
-      return "movi " + reg_name(b[1]) + ", " + hex(imm_at(b, 2));
-    case Op::kAddi:
-      return "addi " + reg_name(b[1]) + ", " + hex(imm_at(b, 2));
-    case Op::kCmpi:
-      return "cmpi " + reg_name(b[1]) + ", " + hex(imm_at(b, 2));
-    case Op::kMov:
-      return "mov " + reg_name(b[1]) + ", " + reg_name(b[2]);
-    case Op::kAdd:
-      return "add " + reg_name(b[1]) + ", " + reg_name(b[2]);
-    case Op::kSub:
-      return "sub " + reg_name(b[1]) + ", " + reg_name(b[2]);
-    case Op::kMul:
-      return "mul " + reg_name(b[1]) + ", " + reg_name(b[2]);
-    case Op::kDiv:
-      return "div " + reg_name(b[1]) + ", " + reg_name(b[2]);
-    case Op::kModu:
-      return "modu " + reg_name(b[1]) + ", " + reg_name(b[2]);
-    case Op::kAnd:
-      return "and " + reg_name(b[1]) + ", " + reg_name(b[2]);
-    case Op::kOr:
-      return "or " + reg_name(b[1]) + ", " + reg_name(b[2]);
-    case Op::kXor:
-      return "xor " + reg_name(b[1]) + ", " + reg_name(b[2]);
-    case Op::kShl:
-      return "shl " + reg_name(b[1]) + ", " + reg_name(b[2]);
-    case Op::kShr:
-      return "shr " + reg_name(b[1]) + ", " + reg_name(b[2]);
-    case Op::kCmp:
-      return "cmp " + reg_name(b[1]) + ", " + reg_name(b[2]);
-    case Op::kNot:
-      return "not " + reg_name(b[1]);
-    case Op::kLoad:
-      return "load " + reg_name(b[1]) + ", " + mem_operand(b[2], imm_at(b, 3));
-    case Op::kLoadb:
-      return "loadb " + reg_name(b[1]) + ", " +
-             mem_operand(b[2], imm_at(b, 3));
-    case Op::kStore:
-      return "store " + mem_operand(b[1], imm_at(b, 3)) + ", " +
-             reg_name(b[2]);
-    case Op::kStoreb:
-      return "storeb " + mem_operand(b[1], imm_at(b, 3)) + ", " +
-             reg_name(b[2]);
-    case Op::kJmp:
-      return "jmp " + hex(imm_at(b, 1));
-    case Op::kJz:
-      return "jz " + hex(imm_at(b, 1));
-    case Op::kJnz:
-      return "jnz " + hex(imm_at(b, 1));
-    case Op::kJlt:
-      return "jlt " + hex(imm_at(b, 1));
-    case Op::kJge:
-      return "jge " + hex(imm_at(b, 1));
-    case Op::kJb:
-      return "jb " + hex(imm_at(b, 1));
-    case Op::kJae:
-      return "jae " + hex(imm_at(b, 1));
-    case Op::kCall:
-      return "call " + hex(imm_at(b, 1));
-    case Op::kJmpr:
-      return "jmpr " + reg_name(b[1]);
-    case Op::kCallr:
-      return "callr " + reg_name(b[1]);
-    case Op::kPush:
-      return "push " + reg_name(b[1]);
-    case Op::kPop:
-      return "pop " + reg_name(b[1]);
-    case Op::kRet:
-      return "ret";
-    case Op::kSyscall:
-      return "syscall";
-    case Op::kNop:
-      return "nop";
+std::string render(const arch::Decoded& d) {
+  const arch::OpInfo& row = arch::op_info(d.op);
+  const std::string m = row.mnemonic;
+  switch (row.form) {
+    case arch::Form::kNone:
+      return m;
+    case arch::Form::kReg:
+      return m + " " + reg_name(d.ra);
+    case arch::Form::kRegReg:
+      return m + " " + reg_name(d.ra) + ", " + reg_name(d.rb);
+    case arch::Form::kImm:
+      return m + " " + hex(d.imm);
+    case arch::Form::kRegImm:
+      return m + " " + reg_name(d.ra) + ", " + hex(d.imm);
+    case arch::Form::kLoad:
+      return m + " " + reg_name(d.ra) + ", " + mem_operand(d.rb, d.imm);
+    case arch::Form::kStore:
+      return m + " " + mem_operand(d.ra, d.imm) + ", " + reg_name(d.rb);
   }
   return "(bad)";
 }
@@ -132,7 +69,9 @@ std::vector<DisasmLine> disassemble(std::span<const u8> bytes, u32 base_addr,
     } else {
       const auto view = bytes.subspan(pos, len);
       line.bytes.assign(view.begin(), view.end());
-      line.text = render(static_cast<Op>(opcode), view);
+      arch::Decoded d;
+      arch::decode(view, d);
+      line.text = render(d);
       pos += len;
     }
     out.push_back(std::move(line));

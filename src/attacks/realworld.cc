@@ -735,8 +735,7 @@ AttackResult attack_wuftpd(ProtectionMode mode, const AttackOptions& opts) {
       .movi(2, stage2_addr)
       .movi(3, 512)
       .syscall();
-  stage1.movi(5, stage2_addr);
-  stage1.raw(std::vector<u8>{0x27, 5});  // jmpr r5
+  stage1.movi(5, stage2_addr).jmpr(5);
 
   std::vector<u8> glob_pattern(512, 0x90);
   const auto s1 = stage1.build();

@@ -8,70 +8,53 @@ namespace sm::attacks {
 
 using arch::Op;
 
-namespace {
-u8 op(Op o) { return static_cast<u8>(o); }
-}  // namespace
-
 ShellcodeBuilder& ShellcodeBuilder::nop_sled(std::size_t n) {
-  bytes_.insert(bytes_.end(), n, op(Op::kNop));
+  bytes_.insert(bytes_.end(), n, static_cast<u8>(Op::kNop));
   return *this;
 }
 
 ShellcodeBuilder& ShellcodeBuilder::movi(u8 reg, u32 imm) {
-  bytes_.push_back(op(Op::kMovi));
-  bytes_.push_back(reg);
-  return word(imm);
+  return emit(Op::kMovi, reg, 0, imm);
 }
 
 ShellcodeBuilder& ShellcodeBuilder::mov(u8 rd, u8 rs) {
-  bytes_.push_back(op(Op::kMov));
-  bytes_.push_back(rd);
-  bytes_.push_back(rs);
-  return *this;
+  return emit(Op::kMov, rd, rs, 0);
 }
 
 ShellcodeBuilder& ShellcodeBuilder::addi(u8 reg, u32 imm) {
-  bytes_.push_back(op(Op::kAddi));
-  bytes_.push_back(reg);
-  return word(imm);
+  return emit(Op::kAddi, reg, 0, imm);
 }
 
 ShellcodeBuilder& ShellcodeBuilder::cmpi(u8 reg, u32 imm) {
-  bytes_.push_back(op(Op::kCmpi));
-  bytes_.push_back(reg);
-  return word(imm);
+  return emit(Op::kCmpi, reg, 0, imm);
 }
 
 ShellcodeBuilder& ShellcodeBuilder::jz(u32 addr) {
-  bytes_.push_back(op(Op::kJz));
-  return word(addr);
+  return emit(Op::kJz, 0, 0, addr);
 }
 
 ShellcodeBuilder& ShellcodeBuilder::jnz(u32 addr) {
-  bytes_.push_back(op(Op::kJnz));
-  return word(addr);
+  return emit(Op::kJnz, 0, 0, addr);
 }
 
 ShellcodeBuilder& ShellcodeBuilder::jmp(u32 addr) {
-  bytes_.push_back(op(Op::kJmp));
-  return word(addr);
+  return emit(Op::kJmp, 0, 0, addr);
+}
+
+ShellcodeBuilder& ShellcodeBuilder::jmpr(u8 reg) {
+  return emit(Op::kJmpr, reg, 0, 0);
 }
 
 ShellcodeBuilder& ShellcodeBuilder::push(u8 reg) {
-  bytes_.push_back(op(Op::kPush));
-  bytes_.push_back(reg);
-  return *this;
+  return emit(Op::kPush, reg, 0, 0);
 }
 
 ShellcodeBuilder& ShellcodeBuilder::pop(u8 reg) {
-  bytes_.push_back(op(Op::kPop));
-  bytes_.push_back(reg);
-  return *this;
+  return emit(Op::kPop, reg, 0, 0);
 }
 
 ShellcodeBuilder& ShellcodeBuilder::syscall() {
-  bytes_.push_back(op(Op::kSyscall));
-  return *this;
+  return emit(Op::kSyscall, 0, 0, 0);
 }
 
 ShellcodeBuilder& ShellcodeBuilder::raw(std::span<const u8> bytes) {
@@ -81,6 +64,11 @@ ShellcodeBuilder& ShellcodeBuilder::raw(std::span<const u8> bytes) {
 
 ShellcodeBuilder& ShellcodeBuilder::word(u32 v) {
   for (int i = 0; i < 4; ++i) bytes_.push_back(static_cast<u8>(v >> (8 * i)));
+  return *this;
+}
+
+ShellcodeBuilder& ShellcodeBuilder::emit(Op op, u8 ra, u8 rb, u32 imm) {
+  arch::encode(op, ra, rb, imm, bytes_);
   return *this;
 }
 

@@ -24,6 +24,7 @@ class ShellcodeBuilder {
   ShellcodeBuilder& jz(u32 addr);
   ShellcodeBuilder& jnz(u32 addr);
   ShellcodeBuilder& jmp(u32 addr);
+  ShellcodeBuilder& jmpr(u8 reg);
   ShellcodeBuilder& push(u8 reg);
   ShellcodeBuilder& pop(u8 reg);
   ShellcodeBuilder& syscall();
@@ -34,6 +35,8 @@ class ShellcodeBuilder {
   std::vector<u8> build() const { return bytes_; }
 
  private:
+  ShellcodeBuilder& emit(arch::Op op, u8 ra, u8 rb, u32 imm);
+
   std::vector<u8> bytes_;
 };
 

@@ -22,36 +22,6 @@ std::string hex(u32 v) {
 // exit code even if memory/trace comparison were ever weakened.
 constexpr const char* kSum = "r5";
 
-const char* alu_mnemonic(Op op) {
-  switch (op) {
-    case Op::kAdd: return "add";
-    case Op::kSub: return "sub";
-    case Op::kMul: return "mul";
-    case Op::kDiv: return "div";
-    case Op::kAnd: return "and";
-    case Op::kOr: return "or";
-    case Op::kXor: return "xor";
-    case Op::kShl: return "shl";
-    case Op::kShr: return "shr";
-    case Op::kModu: return "modu";
-    case Op::kCmp: return "cmp";
-    case Op::kMov: return "mov";
-    default: return "add";
-  }
-}
-
-const char* jcc_mnemonic(Op op) {
-  switch (op) {
-    case Op::kJz: return "jz";
-    case Op::kJnz: return "jnz";
-    case Op::kJlt: return "jlt";
-    case Op::kJge: return "jge";
-    case Op::kJb: return "jb";
-    case Op::kJae: return "jae";
-    default: return "jz";
-  }
-}
-
 // Weighted pick from a subset of the opcode table.
 Op pick_op(Rng& rng, const std::vector<Op>& subset) {
   const auto& w = opcode_weights();
@@ -137,14 +107,14 @@ void Emitter::act_alu() {
       // r2 is re-seeded nonzero right before each division so no value
       // flow can make the divisor zero.
       line("movi r2, " + std::to_string(rng_.range(1, 97)));
-      line(std::string(alu_mnemonic(op)) + " " + ra + ", r2");
+      line(std::string(arch::op_info(op).mnemonic) + " " + ra + ", r2");
     } else if (rng_.chance(15)) {
       line("not " + ra);
     } else if (rng_.chance(15)) {
       line("addi " + ra + ", " + hex(static_cast<u32>(rng_.next())));
     } else {
       const std::string rb = "r" + std::to_string(rng_.below(3));
-      line(std::string(alu_mnemonic(op)) + " " + ra + ", " + rb);
+      line(std::string(arch::op_info(op).mnemonic) + " " + ra + ", " + rb);
     }
   }
   if (rng_.chance(30)) line("nop");
@@ -165,7 +135,7 @@ void Emitter::act_jcc() {
     } else {
       line("cmpi r0, " + hex(static_cast<u32>(rng_.next())));
     }
-    line(std::string(jcc_mnemonic(cc)) + " " + skip);
+    line(std::string(arch::op_info(cc).mnemonic) + " " + skip);
     line("movi r2, " + std::to_string(rng_.range(1, 999)));
     fold("r2");
     label(skip);

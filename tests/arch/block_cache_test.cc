@@ -299,6 +299,25 @@ TEST(MidBlockTraps, RollBackAlikeInEveryEngine) {
        TrapKind::kInvalidOpcode, 0, false},
       {"bad register", {0x02, 9, 0}, 0, 0, 0, 0x3000, 1, 0x7000,
        TrapKind::kGeneralProtection, 0, false},
+      {"bad rb, reg-reg", {0x02, 0, 9}, 0, 0, 0, 0x3000, 1, 0x7000,
+       TrapKind::kGeneralProtection, 0, false},
+      {"bad ra, load", {0x03, 8, 1, 0, 0, 0, 0}, 0, 0, 0, 0x3000, 1, 0x7000,
+       TrapKind::kGeneralProtection, 0, false},
+      {"bad rb, load", {0x03, 2, 0xFF, 0, 0, 0, 0}, 0, 0, 0, 0x3000, 1,
+       0x7000, TrapKind::kGeneralProtection, 0, false},
+      {"bad ra, store", {0x04, 8, 2, 0, 0, 0, 0}, 0, 0, 0, 0x3000, 1, 0x7000,
+       TrapKind::kGeneralProtection, 0, false},
+      {"bad rb, store", {0x04, 1, 8, 0, 0, 0, 0}, 0, 0, 0, 0x3000, 1, 0x7000,
+       TrapKind::kGeneralProtection, 0, false},
+      {"bad ra, reg-imm", {0x01, 8, 0, 0, 0, 0}, 0, 0, 0, 0x3000, 1, 0x7000,
+       TrapKind::kGeneralProtection, 0, false},
+      {"bad ra, reg", {0x33, 8}, 0, 0, 0, 0x3000, 1, 0x7000,
+       TrapKind::kGeneralProtection, 0, false},
+      // An immediate is not a register: `call 0x0B0A0908` decodes and
+      // traps only on its push. `decodes` is false only because a clean
+      // call would leave the rig's loop, so there is no block to cache.
+      {"call, imm bytes >= 8", {0x30, 0x08, 0x09, 0x0A, 0x0B}, 0, 0, 0,
+       0x3000, 1, 0xA000, TrapKind::kPageFault, 0x9FFC, false},
   };
 
   for (const MidBlockTrap& c : cases) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "arch/isa.h"
+#include "asm/disassembler.h"
 
 namespace sm::assembler {
 namespace {
@@ -270,6 +271,18 @@ TEST(Assembler, NegativeImmediates) {
   const Program p = assemble("addi r1, -1\n");
   EXPECT_EQ(p.text[2], 0xFF);
   EXPECT_EQ(p.text[5], 0xFF);
+}
+
+TEST(Assembler, MostNegativeImmediate) {
+  // -0x80000000 has no i32 negation; it must still encode as 0x80000000
+  // and round-trip through the disassembler.
+  const Program p = assemble("movi r0, -0x80000000\n");
+  const std::vector<u8> bytes = {0x01, 0x00, 0x00, 0x00, 0x00, 0x80};
+  EXPECT_EQ(p.text, bytes);
+  const auto lines = disassemble(p.text, 0);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0].text, "movi r0, 0x80000000");
+  EXPECT_EQ(assemble(lines[0].text).text, bytes);
 }
 
 TEST(Assembler, CustomLayout) {

@@ -6,7 +6,11 @@ Two modes, two tracked files at the repo root:
   tools/bench_json.py
       Runs the google-benchmark microbench suite and writes
       BENCH_microbench.json (google-benchmark's own --benchmark_out schema,
-      unchanged, so benchmark-diff tooling keeps working).
+      unchanged, so benchmark-diff tooling keeps working). Each benchmark
+      runs MICRO_REPETITIONS times and only the aggregates are recorded
+      (rows named <run_name>_mean/_median/_stddev/_cv): one run is a single
+      sample of a host that drifts by more than most changes move it, so
+      read the _median rows.
 
   tools/bench_json.py --figures [--jobs N] [--quick]
       Runs every figure/table/ablation binary through the parallel
@@ -56,6 +60,9 @@ FIGURE_BENCHES = [
     "ablation_tlb_geometry",
 ]
 
+# Repetitions per microbenchmark; the record keeps their aggregates only.
+MICRO_REPETITIONS = 5
+
 # Benches whose non-zero exit codes are verdicts, not failures (table1
 # exits non-zero unless every applicable attack cell is foiled — which full
 # runs are, but --quick subsets need not be).
@@ -75,7 +82,9 @@ def run_micro(args) -> int:
     cmd = [exe,
            f"--benchmark_out={tmp_path}",
            "--benchmark_out_format=json",
-           f"--benchmark_min_time={args.min_time}"]
+           f"--benchmark_min_time={args.min_time}",
+           f"--benchmark_repetitions={MICRO_REPETITIONS}",
+           "--benchmark_report_aggregates_only=true"]
     if args.filter:
         cmd.append(f"--benchmark_filter={args.filter}")
 

@@ -98,7 +98,8 @@ def load(path):
 
 def check_microbench(path) -> int:
     doc = load(path)
-    names = {b["name"].split("/")[0] for b in doc.get("benchmarks", [])}
+    # run_name: aggregate rows suffix "name" with _mean, _median, ...
+    names = {b["run_name"].split("/")[0] for b in doc.get("benchmarks", [])}
     missing = [l for l in MICROBENCH_LABELS if l not in names]
     if missing:
         print(f"MICROBENCH LABELS MISSING from {path}: {missing}",
